@@ -116,7 +116,7 @@ pub struct BtConfig {
     /// fast-forwarding across provably quiescent spans. The fast-forward
     /// path is bit-for-bit equivalent to the dense loop (same RNG stream,
     /// same `BtResult`, same telemetry counters), so this should only
-    /// matter when bisecting a suspected detector bug.
+    /// matter when bisecting a suspected fast-forward bug.
     #[serde(default)]
     pub disable_fast_forward: bool,
     /// Scripted arrival schedule: explicit `(tick, upload_capacity)`

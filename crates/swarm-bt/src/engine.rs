@@ -480,34 +480,22 @@ pub fn run(cfg: &BtConfig) -> BtResult {
     BtEngine::new(cfg).run()
 }
 
-/// Run with a per-tick inspector (diagnostics; not part of the stable
-/// API). The callback receives `(tick, per-peer (age, pieces_held,
-/// upload, online))` every 60 ticks. Always dense — the inspector wants
-/// to see every tick, so quiescent spans are not elided here.
-#[doc(hidden)]
-pub fn run_with_inspector(
-    cfg: &BtConfig,
-    mut inspect: impl FnMut(u64, &[(u64, usize, f64, bool)]),
-) -> BtResult {
-    cfg.validate();
-    let _span = swarm_obs::span("bt.run");
-    let mut engine = BtEngine::new(cfg);
-    let hard_end = cfg.horizon + cfg.drain_ticks;
-    for tick in 0..hard_end {
-        if tick >= cfg.horizon && !engine.any_leecher_online() {
-            break;
-        }
-        engine.tick_body(tick);
-        if tick % 60 == 0 {
-            let p = &engine.peers;
-            let snapshot: Vec<(u64, usize, f64, bool)> = (1..p.len())
-                .filter(|&i| p.online[i])
-                .map(|i| (tick - p.arrived[i], p.num_held[i], p.upload[i], p.online[i]))
-                .collect();
-            inspect(tick, &snapshot);
-        }
-    }
-    engine.finalize()
+/// Fixed-point flags for the quiescence fast-forward, one per phase.
+/// A phase sets its own flag when a run of it changed nothing and drew
+/// no RNG — on unchanged state, running it again would do the same —
+/// and the few events that can hand it work again clear the flag (see
+/// `connect`, `go_offline`, `spawn_peer` and the publisher's return).
+/// The boundaries of a quiet periodic phase schedule no wake.
+#[derive(Default)]
+struct Quiet {
+    /// `transfer_round` planned no allocation.
+    transfer: bool,
+    /// `rechoke` built an empty unchoke table.
+    rechoke: bool,
+    /// No online peer found a PEX gossip partner.
+    pex: bool,
+    /// `reannounce` found no lonely peer (its prune is idempotent).
+    reannounce: bool,
 }
 
 struct BtEngine<'c> {
@@ -559,14 +547,18 @@ struct BtEngine<'c> {
     injected: Vec<u64>,
     /// Incremental per-piece replication over online non-publisher peers.
     rep: ReplicationIndex,
-    /// Ids of the peers with `online == true`, maintained at the six
-    /// membership-flip sites (arrival, departure, drain, publisher
-    /// toggle/retire). The quiescence detector's no-op proofs scan this
-    /// instead of every node that ever existed: `Node` is large, the
-    /// population only grows, and in the idle regimes worth eliding the
-    /// online subset is a sliver of it. Unordered — every reader takes a
-    /// minimum or an any(), so iteration order cannot leak into results.
+    /// Ids of the peers with `online == true`, maintained at the
+    /// membership-flip sites (`spawn_peer`, `go_offline`, the
+    /// publisher's return). The window roll, re-announce prune,
+    /// `fill_online` and the linger-end wake scan walk this instead of
+    /// every peer that ever existed: the population only grows, and in
+    /// the idle regimes worth eliding the online subset is a sliver of
+    /// it. Unordered — readers take a minimum, touch each entry
+    /// independently, or sort a copy, so iteration order cannot leak
+    /// into results.
     online_ids: Vec<usize>,
+    /// Which periodic phases are at a fixed point (see [`Quiet`]).
+    quiet: Quiet,
     // --- reusable scratch (cleared before use; steady-state ticks do not
     //     allocate once these are warm) ----------------------------------
     /// Online node ids, ascending.
@@ -743,6 +735,7 @@ impl<'c> BtEngine<'c> {
             } else {
                 Vec::new()
             },
+            quiet: Quiet::default(),
             scratch_online: Vec::new(),
             scratch_ids: Vec::new(),
             scratch_nb: Vec::new(),
@@ -782,7 +775,7 @@ impl<'c> BtEngine<'c> {
             self.tick_body(tick);
             tick += 1;
             if fast_forward && tick < hard_end {
-                if let Some(wake) = self.quiescent_wake(tick, hard_end) {
+                if let Some(wake) = self.next_wake(tick, hard_end) {
                     self.fast_forward(tick, wake);
                     tick = wake;
                 }
@@ -792,7 +785,7 @@ impl<'c> BtEngine<'c> {
     }
 
     /// One dense tick: every per-tick phase, in the order the engine has
-    /// always run them. Shared by [`run`] and [`run_with_inspector`].
+    /// always run them.
     fn tick_body(&mut self, tick: u64) {
         let t0 = self.tick_clock(tick);
         self.publisher_transitions(tick);
@@ -930,48 +923,37 @@ impl<'c> BtEngine<'c> {
     // with no peer online, or with only blocked leechers that hold
     // identical pieces and nothing to exchange. Executing those ticks
     // densely costs a full phase sweep each for provably zero effect.
-    // When the engine can prove every tick in `[from, wake)` would be a
-    // no-op — on the RNG stream as well as on engine state — it jumps the
-    // clock straight to `wake`, the earliest tick at which anything can
-    // happen, and `fast_forward` replays the per-tick accounting the
-    // dense loop would have produced, exactly.
+    // After every dense tick `next_wake` names the earliest tick at which
+    // anything can happen; the loop jumps the clock there, and
+    // `fast_forward` replays the per-tick accounting the dense loop would
+    // have produced, exactly.
     //
-    // Invariants the detector relies on (expanded in DESIGN.md):
+    // Each periodic phase records in `Quiet` whether its own last run
+    // was a fixed point, and the wake is the minimum over the events the
+    // engine already schedules and the next boundary of every phase that
+    // is not quiet (expanded in DESIGN.md). This is sound because:
     //
-    // * A quiescent tick consumes no RNG. `shuffle` draws nothing for
-    //   slices shorter than two and `choose` draws nothing from an empty
-    //   slice, so a tick whose phases all degenerate to those leaves the
-    //   ChaCha stream bit-identical to the dense loop's.
-    // * State is frozen across the gap. No transfer means no bitfield,
-    //   progress, replication, membership or reciprocity change, so a
-    //   phase proven no-op at `from` stays no-op until the next event.
-    // * Every state change is anchored to a schedulable event: the next
-    //   Poisson arrival, publisher toggle, request-timeout expiry,
-    //   linger end, the next rechoke/PEX/re-announce boundary with live
-    //   work, or the horizon/drain boundary. `quiescent_wake` takes the
-    //   minimum over all of them.
+    // * A quiet phase draws no RNG. `shuffle` draws nothing for slices
+    //   shorter than two and `choose` nothing from an empty slice, and a
+    //   phase that planned, unchoked or gossiped nothing called neither
+    //   on anything longer.
+    // * A fixed point holds until an event undoes it. With transfer
+    //   quiet no bitfield, progress, replication or reciprocity changes,
+    //   so only a new edge (`connect`), a departure (`go_offline`), an
+    //   arrival (`spawn_peer`) or the publisher's return can hand a
+    //   quiet phase work again, and each clears the flag it affects.
+    // * Every other change is already scheduled: the next arrival,
+    //   publisher toggle and linger end, and the horizon/drain boundary.
+    //   Request timeouts need no wake: expiry is lazy (`request_live`),
+    //   and its only reader, `pick_piece`, runs only when transfer has
+    //   allocations.
 
     /// The first tick ≥ `from` at which a non-elidable event can fire,
     /// or `None` when tick `from` itself must be executed densely.
-    fn quiescent_wake(&self, from: u64, hard_end: u64) -> Option<u64> {
-        // The detector's proofs quantify over online peers only, via the
-        // maintained id list; in debug builds, verify it against the
-        // per-node flags it mirrors.
-        debug_assert_eq!(
-            self.online_ids.len(),
-            self.peers.online.iter().filter(|&&o| o).count(),
-            "online_ids out of sync with per-peer flags"
-        );
-        // The dense loop's drain break-check fires at `from`; let it.
-        if from >= self.cfg.horizon && !self.any_leecher_online() {
-            return None;
-        }
-        // Cheap disqualifiers first: a swarm that moved bytes last tick
-        // (or owes a forced rechoke) pays only these two compares.
-        if self.force_rechoke || self.tick_bytes > 0.0 {
-            return None;
-        }
-        if !self.transfer_is_noop() {
+    fn next_wake(&self, from: u64, hard_end: u64) -> Option<u64> {
+        // A swarm that planned transfers last tick pays only this
+        // compare; the dense loop's drain break-check fires at `from`.
+        if !self.quiet.transfer || (from >= self.cfg.horizon && !self.any_leecher_online()) {
             return None;
         }
         let mut wake = hard_end;
@@ -996,132 +978,22 @@ impl<'c> BtEngine<'c> {
         if let Some(t) = self.next_toggle {
             wake = wake.min(t.ceil() as u64);
         }
+        // A lingering seed departs when its linger runs out.
         for &i in &self.online_ids {
-            // Request-timeout expiries prune per-connection state. Only
-            // live requests schedule a wake: a row whose request already
-            // aged out (`ts + TIMEOUT <= from`) is exactly one the old
-            // eager sweep would have removed by now.
-            for c in &self.peers.conns[i] {
-                if c.piece != NO_PIECE && c.ts + REQUEST_TIMEOUT > from {
-                    wake = wake.min(c.ts + REQUEST_TIMEOUT);
-                }
-            }
-            // A lingering seed departs when its linger runs out.
             if let Some(until) = self.peers.linger_until[i] {
                 wake = wake.min(until);
             }
         }
-        if !self.rechoke_noop() {
+        if !self.quiet.rechoke {
             wake = wake.min(next_multiple(from, self.cfg.rechoke_interval));
         }
-        if self.cfg.pex_interval > 0 && !self.pex_noop() {
+        if self.cfg.pex_interval > 0 && !self.quiet.pex {
             wake = wake.min(next_multiple(from, self.cfg.pex_interval));
         }
-        if !self.reannounce_noop() {
+        if !self.quiet.reannounce {
             wake = wake.min(next_multiple(from, REANNOUNCE_INTERVAL));
         }
         (wake > from).then_some(wake)
-    }
-
-    /// Would `transfer_round` plan zero allocations? Mirrors the plan
-    /// loop's liveness filter over the persistent unchoke table. With no
-    /// live pair the round shuffles an empty vector (no RNG), moves no
-    /// bytes and completes nobody. Liveness can only change through a
-    /// transfer or a membership event, so a dead table stays dead for
-    /// the whole gap.
-    fn transfer_is_noop(&self) -> bool {
-        for i in 0..self.unchoked_from.len() {
-            let u = self.unchoked_from[i];
-            if !self.peers.online[u] || self.peers.num_held[u] == 0 {
-                continue;
-            }
-            for &d in &self.unchoked_flat[self.unchoked_off[i]..self.unchoked_off[i + 1]] {
-                if self.peers.online[d]
-                    && !self.is_seed(d)
-                    && bitfield::any_and_not(self.bits.row(u), self.bits.row(d))
-                {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
-    /// Would a rechoke at a boundary inside the gap change nothing?
-    /// Unlike [`transfer_is_noop`] this scans *all* neighbors (rechoke
-    /// rebuilds the table from scratch): any interested live pair means
-    /// a shuffle (RNG) and a fresh unchoke set. The reciprocity windows
-    /// of online peers must be empty, or the swap/clear a dense rechoke
-    /// performs would be observable at the next scoring pass. With
-    /// probes live, a leftover previous unchoke-pair set would be
-    /// swapped by churn accounting, so it must be empty too — then the
-    /// only dense effect left is the `bt.rechoke.count` increment,
-    /// which [`fast_forward`] replays.
-    fn rechoke_noop(&self) -> bool {
-        if self.probes.is_some() && !self.unchoke_pairs_prev.is_empty() {
-            return false;
-        }
-        for &i in &self.online_ids {
-            // "Window non-empty" in the old association-list sense: any
-            // row carrying bytes (entries were only ever created with
-            // positive byte counts).
-            if self.peers.conns[i]
-                .iter()
-                .any(|c| c.prev > 0.0 || c.cur > 0.0)
-            {
-                return false;
-            }
-            if self.peers.num_held[i] == 0 {
-                continue;
-            }
-            for &d in &self.peers.neighbors[i] {
-                if self.peers.online[d]
-                    && d != PUBLISHER
-                    && !self.is_seed(d)
-                    && bitfield::any_and_not(self.bits.row(i), self.bits.row(d))
-                {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
-    /// Would a PEX round inside the gap change nothing? A gossiping peer
-    /// with at least one online neighbor draws a partner (`choose` on a
-    /// non-empty slice consumes RNG), so PEX is only elidable when every
-    /// online non-publisher is fully isolated.
-    fn pex_noop(&self) -> bool {
-        for &i in &self.online_ids {
-            if i != PUBLISHER && self.active_neighbor_count(i) > 0 {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Would a re-announce inside the gap change nothing? A lonely
-    /// online peer would re-query the tracker (RNG draws, new edges).
-    /// The prune pass needs care: dropping an offline-but-returnable
-    /// publisher from a live neighbor list is observable once the
-    /// publisher comes back, so that prune must run densely. Entries
-    /// for departed leechers are inert — they never reactivate and
-    /// every neighbor-list reader filters on `active` — so pruning
-    /// them can wait for the next dense re-announce.
-    fn reannounce_noop(&self) -> bool {
-        let prune_pending = matches!(
-            self.cfg.publisher,
-            BtPublisher::OnOff { .. } | BtPublisher::Periodic { .. }
-        ) && !self.peers.online[PUBLISHER];
-        for &i in &self.online_ids {
-            if i != PUBLISHER && self.active_neighbor_count(i) < MIN_NEIGHBORS {
-                return false;
-            }
-            if prune_pending && self.peers.neighbors[i].contains(&PUBLISHER) {
-                return false;
-            }
-        }
-        true
     }
 
     /// Jump the clock across the provably quiescent span `[from, to)`,
@@ -1134,8 +1006,8 @@ impl<'c> BtEngine<'c> {
         let elided = to - from;
         let available = self.peers.online[PUBLISHER] || self.rep.covered == self.num_pieces;
         if available {
-            // Gaps never straddle the horizon (`quiescent_wake` caps
-            // there), so the whole span earns credit or none of it does.
+            // Gaps never straddle the horizon (`next_wake` caps there),
+            // so the whole span earns credit or none of it does.
             if from < self.cfg.horizon {
                 self.available_ticks += elided;
             }
@@ -1171,8 +1043,9 @@ impl<'c> BtEngine<'c> {
         p.blocked.set(blocked as i64);
         p.blocked_ticks.add(blocked as u64 * elided);
         // Rechoke boundaries inside the gap were metrics-only no-ops
-        // (`rechoke_noop` holds, or the wake was capped before the first
-        // boundary); replay their counter effects.
+        // (rechoke is quiet: it rebuilds the same empty table, so churn
+        // is zero; or the wake was capped before the first boundary);
+        // replay their counter effects.
         let rechokes = count_multiples(from, to, self.cfg.rechoke_interval);
         if rechokes > 0 {
             p.rechokes.add(rechokes);
@@ -1247,6 +1120,17 @@ impl<'c> BtEngine<'c> {
             .count()
     }
 
+    /// Is peer `d` interested in the uploader whose bitmap row is
+    /// `u_bits`: online, not a seed, and missing a piece the uploader
+    /// holds? The one interest test — `rechoke` and `transfer_round` hoist
+    /// the uploader's row out of their downloader scans, and `connect`
+    /// asks it of both ends of a new edge. The publisher holds every
+    /// piece, so it is never interested.
+    #[inline]
+    fn wants(&self, u_bits: &[u64], d: usize) -> bool {
+        self.peers.online[d] && !self.is_seed(d) && bitfield::any_and_not(u_bits, self.bits.row(d))
+    }
+
     fn connect(&mut self, a: usize, b: usize) {
         if a == b {
             return;
@@ -1259,7 +1143,23 @@ impl<'c> BtEngine<'c> {
         {
             self.peers.neighbors[a].push(b);
             self.peers.neighbors[b].push(a);
+            // Both ends are online: PEX now has a gossip partner, and an
+            // interested end gives rechoke a pair to unchoke.
+            self.quiet.pex = false;
+            if self.wants(self.bits.row(a), b) || self.wants(self.bits.row(b), a) {
+                self.quiet.rechoke = false;
+            }
         }
+    }
+
+    /// Take peer `i` offline. A departure never hands rechoke, PEX or
+    /// transfer work, but it can leave a re-announce something to do —
+    /// a stale edge to prune, a neighbor newly under `MIN_NEIGHBORS` —
+    /// so it clears that flag.
+    fn go_offline(&mut self, i: usize) {
+        self.peers.online[i] = false;
+        self.online_ids.retain(|&o| o != i);
+        self.quiet.reannounce = false;
     }
 
     fn tracker_join(&mut self, joiner: usize) {
@@ -1326,6 +1226,9 @@ impl<'c> BtEngine<'c> {
             ts.win_arrivals += 1;
         }
         self.tracker_join(id);
+        if self.active_neighbor_count(id) < MIN_NEIGHBORS {
+            self.quiet.reannounce = false;
+        }
     }
 
     fn reannounce(&mut self) {
@@ -1353,6 +1256,7 @@ impl<'c> BtEngine<'c> {
                 lonely.push(i);
             }
         }
+        self.quiet.reannounce = lonely.is_empty();
         for &l in &lonely {
             self.tracker_join(l);
         }
@@ -1363,6 +1267,7 @@ impl<'c> BtEngine<'c> {
         // Each online peer gossips with one random online neighbor and
         // learns up to PEX_SHARE of its neighbors.
         self.fill_online();
+        let mut gossiped = false;
         for oi in 0..self.scratch_online.len() {
             let id = self.scratch_online[oi];
             if id == PUBLISHER {
@@ -1380,6 +1285,7 @@ impl<'c> BtEngine<'c> {
             let Some(partner) = partner else {
                 continue;
             };
+            gossiped = true;
             let mut shared = std::mem::take(&mut self.scratch_ids);
             shared.clear();
             for &n in &self.peers.neighbors[partner] {
@@ -1394,6 +1300,7 @@ impl<'c> BtEngine<'c> {
             }
             self.scratch_ids = shared;
         }
+        self.quiet.pex = !gossiped;
     }
 
     // --- publisher ------------------------------------------------------
@@ -1424,8 +1331,7 @@ impl<'c> BtEngine<'c> {
             };
             self.next_toggle = Some(t + dwell);
             if was_online {
-                self.peers.online[PUBLISHER] = false;
-                self.online_ids.retain(|&i| i != PUBLISHER);
+                self.go_offline(PUBLISHER);
                 if let Some(since) = self.publisher_online_since.take() {
                     self.result.publisher_intervals.push((since, tick));
                 }
@@ -1433,6 +1339,9 @@ impl<'c> BtEngine<'c> {
                 self.peers.online[PUBLISHER] = true;
                 self.online_ids.push(PUBLISHER);
                 self.publisher_online_since = Some(tick);
+                // Old edges to the publisher are live again, so PEX may
+                // find partners; the rechoke is forced.
+                self.quiet.pex = false;
                 // Returning publisher re-announces and reconnects.
                 self.tracker_join(PUBLISHER);
                 self.force_rechoke = true;
@@ -1442,8 +1351,7 @@ impl<'c> BtEngine<'c> {
 
     fn retire_publisher(&mut self, tick: u64) {
         self.publisher_retired = true;
-        self.peers.online[PUBLISHER] = false;
-        self.online_ids.retain(|&i| i != PUBLISHER);
+        self.go_offline(PUBLISHER);
         self.peers.departed[PUBLISHER] = Some(tick);
         if let Some(since) = self.publisher_online_since.take() {
             self.result.publisher_intervals.push((since, tick));
@@ -1491,11 +1399,7 @@ impl<'c> BtEngine<'c> {
             interested.clear();
             let u_bits = self.bits.row(u);
             for &d in &self.peers.neighbors[u] {
-                if self.peers.online[d]
-                    && d != PUBLISHER
-                    && !self.is_seed(d)
-                    && bitfield::any_and_not(u_bits, self.bits.row(d))
-                {
+                if self.wants(u_bits, d) {
                     interested.push(d);
                 }
             }
@@ -1536,6 +1440,9 @@ impl<'c> BtEngine<'c> {
         }
         self.unchoked_off.push(self.unchoked_flat.len());
         self.scratch_interested = interested;
+        // Every uploader with an interested neighbor enters the table,
+        // so an empty one means no unchoke order was drawn.
+        self.quiet.rechoke = self.unchoked_from.is_empty();
         if self.probes.is_some() {
             self.record_rechoke_metrics();
         }
@@ -1551,10 +1458,11 @@ impl<'c> BtEngine<'c> {
     /// and one it would not have cleared cannot have aged past the
     /// timeout in between without its `ts` being refreshed (which
     /// un-ages it on both schemes). Readers: the `pick_piece` continue
-    /// check, the taken-piece bitmap, and `quiescent_wake` (where the
-    /// `wake > from` guard subsumes the filter). Dead rows get their
-    /// `piece` cleared whenever a reader touches them next, and are
-    /// compacted at window rolls.
+    /// check and the taken-piece bitmap — both only reached when
+    /// transfer has allocations, so an expiry never needs a
+    /// fast-forward wake of its own. Dead rows get their `piece` cleared
+    /// whenever a reader touches them next, and are compacted at window
+    /// rolls.
     #[inline]
     fn request_live(c: &Conn, tick: u64) -> bool {
         c.piece != NO_PIECE && tick.saturating_sub(c.ts) < REQUEST_TIMEOUT
@@ -1575,10 +1483,7 @@ impl<'c> BtEngine<'c> {
             let start = allocations.len();
             let u_bits = self.bits.row(u);
             for &d in &self.unchoked_flat[self.unchoked_off[i]..self.unchoked_off[i + 1]] {
-                if self.peers.online[d]
-                    && !self.is_seed(d)
-                    && bitfield::any_and_not(u_bits, self.bits.row(d))
-                {
+                if self.wants(u_bits, d) {
                     allocations.push((u as u32, d as u32, 0.0));
                 }
             }
@@ -1591,6 +1496,9 @@ impl<'c> BtEngine<'c> {
                 a.2 = share;
             }
         }
+        // With nothing planned the round draws no RNG and moves nothing,
+        // and until a rechoke or membership event the plan stays empty.
+        self.quiet.transfer = allocations.is_empty();
 
         // Execute transfers in deterministic shuffled order.
         allocations.shuffle(&mut self.rng);
@@ -1909,8 +1817,7 @@ impl<'c> BtEngine<'c> {
                 self.lingering_online += 1;
             }
             None => {
-                self.peers.online[d] = false;
-                self.online_ids.retain(|&i| i != d);
+                self.go_offline(d);
                 self.peers.departed[d] = Some(done_at);
                 self.rep.drop_holder(self.bits.row(d));
                 self.online_nonpub -= 1;
@@ -1937,10 +1844,9 @@ impl<'c> BtEngine<'c> {
             }
             if let Some(until) = self.peers.linger_until[i] {
                 if until <= tick {
-                    self.peers.online[i] = false;
+                    self.go_offline(i);
                     self.peers.departed[i] = Some(tick);
                     self.rep.drop_holder(self.bits.row(i));
-                    self.online_ids.retain(|&o| o != i);
                     expired += 1;
                 }
             }
@@ -2004,10 +1910,15 @@ impl<'c> BtEngine<'c> {
         }
     }
 
-    /// From-scratch recount cross-check of the incremental index (debug
-    /// builds only, every 60 ticks): every debug-mode engine run doubles
-    /// as an index-consistency test.
+    /// From-scratch recount cross-check of the incremental index and the
+    /// `online_ids` list (debug builds only, every 60 ticks): every
+    /// debug-mode engine run doubles as an index-consistency test.
     fn check_index_consistency(&self) {
+        assert_eq!(
+            self.online_ids.len(),
+            self.peers.online.iter().filter(|&&o| o).count(),
+            "online_ids out of sync with per-peer flags"
+        );
         let mut counts = vec![0u32; self.num_pieces];
         for i in (1..self.peers.len()).filter(|&i| self.peers.online[i]) {
             for p in bitfield::ones(self.bits.row(i)) {

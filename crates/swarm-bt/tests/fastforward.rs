@@ -8,9 +8,10 @@
 //! exactly the same RNG stream.
 //!
 //! Fixed configs pin the regimes the paper cares about (K ∈ {1, 4, 16},
-//! intermittent and seedless publishers, lingering seeds); the proptest
-//! sweeps random configurations across publisher processes, loads and
-//! protocol intervals.
+//! intermittent and seedless publishers, lingering seeds) plus the
+//! wake rules no random sweep reliably reaches; the proptest sweeps
+//! random configurations across publisher processes, loads and protocol
+//! intervals.
 
 use proptest::prelude::*;
 use swarm_bt::{run, BtConfig, BtPublisher, PieceSelection};
@@ -149,11 +150,35 @@ fn super_seed_random_selection() {
     assert_equivalent("super-seed + random selection", &cfg);
 }
 
+#[test]
+fn publisher_return_reactivates_old_edges() {
+    // A periodic publisher returns to edges PEX last saw dead: while it
+    // was away, peers whose only live edges ran to it had no gossip
+    // partner, so PEX could mark itself quiet, and the return revives
+    // those edges without creating one. Only the return itself can tell
+    // the fast-forward that the next PEX boundary has partners again.
+    let base = BtConfig::paper_section_4_3(1, 0);
+    let cfg = BtConfig {
+        horizon: 1_500,
+        drain_ticks: 0,
+        arrival_rate: base.arrival_rate * 0.1,
+        publisher: BtPublisher::Periodic {
+            on_ticks: 30,
+            off_ticks: 20,
+            initially_on: false,
+        },
+        linger_mean: Some(600.0),
+        pex_interval: 7,
+        ..base
+    };
+    assert_equivalent("publisher return over old edges", &cfg);
+}
+
 proptest! {
-    // Each case runs the engine twice in a debug build; a small case
-    // count keeps the suite inside the tier-1 budget while still
-    // sweeping the config space run-to-run (proptest perturbs seeds).
-    #![proptest_config(ProptestConfig::with_cases(10))]
+    // Each case runs the engine twice; the test profile is optimized,
+    // so a few seconds buy a wide sweep (proptest perturbs seeds run to
+    // run).
+    #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
     fn equivalent_on_random_configs(
@@ -161,15 +186,19 @@ proptest! {
         seed in 0u64..1_000_000,
         horizon in 200u64..901,
         drain_idx in 0usize..3,
-        publisher_kind in 0usize..3,
+        publisher_kind in 0usize..4,
         initially_on in prop::bool::ANY,
         on_mean in 40.0f64..400.0,
         off_mean in 40.0f64..900.0,
+        // Periodic phases, with off phases both shorter and longer than
+        // the 30-tick re-announce interval.
+        on_ticks in 10u64..300,
+        off_ticks in 5u64..90,
         linger_on in prop::bool::ANY,
         linger_mean in 20.0f64..240.0,
         pex_idx in 0usize..3,
-        rechoke_idx in 0usize..3,
-        rate_scale in 0.2f64..1.5,
+        rechoke_idx in 0usize..4,
+        rate_scale in 0.05f64..1.5,
     ) {
         let base = BtConfig::paper_section_4_3(k, seed);
         let cfg = BtConfig {
@@ -179,11 +208,14 @@ proptest! {
             publisher: match publisher_kind {
                 0 => BtPublisher::AlwaysOn,
                 1 => BtPublisher::OnOff { on_mean, off_mean, initially_on },
+                2 => BtPublisher::Periodic { on_ticks, off_ticks, initially_on },
                 _ => BtPublisher::UntilFirstCompletion,
             },
             linger_mean: linger_on.then_some(linger_mean),
             pex_interval: [0u64, 7, 30][pex_idx],
-            rechoke_interval: [1u64, 3, 10][rechoke_idx],
+            // 17 does not divide the re-announce interval, so rechoke
+            // and re-announce boundaries drift against each other.
+            rechoke_interval: [1u64, 3, 10, 17][rechoke_idx],
             record_timeline: true,
             ..base
         };
