@@ -55,6 +55,26 @@ impl CapacityDistribution {
         }
     }
 
+    /// Panic unless the distribution is well formed: a finite positive
+    /// uniform rate, or a non-empty quantile table whose cumulative
+    /// probabilities strictly ascend within (0, 1] and end at exactly 1.0,
+    /// with finite positive rates. Otherwise a NaN rate uploads at the
+    /// full download cap (`f64::min(NaN, cap)` is `cap`), and a table
+    /// ending short of 1.0 makes [`Self::mean`] disagree with
+    /// [`Self::sample`]. Inlined so the common uniform case costs config
+    /// validation only a compare.
+    #[inline]
+    pub fn validate(&self) {
+        match self {
+            CapacityDistribution::Uniform(c) => assert!(
+                *c > 0.0 && c.is_finite(),
+                "uniform capacity must be positive and finite"
+            ),
+            CapacityDistribution::BitTyrant => validate_quantiles(BITTYRANT_QUANTILES),
+            CapacityDistribution::Empirical(table) => validate_quantiles(table),
+        }
+    }
+
     /// Expected value of the distribution.
     pub fn mean(&self) -> f64 {
         match self {
@@ -85,6 +105,24 @@ fn sample_quantiles<R: Rng + ?Sized>(table: &[(f64, f64)], rng: &mut R) -> f64 {
         }
     }
     table.last().expect("nonempty table").1
+}
+
+/// The quantile-table rules of [`CapacityDistribution::validate`].
+fn validate_quantiles(table: &[(f64, f64)]) {
+    assert!(!table.is_empty(), "empirical table must not be empty");
+    let mut prev = 0.0;
+    for &(q, rate) in table {
+        assert!(
+            q > prev && q <= 1.0,
+            "quantile probabilities must strictly ascend within (0, 1]"
+        );
+        assert!(
+            rate > 0.0 && rate.is_finite(),
+            "quantile rates must be positive and finite"
+        );
+        prev = q;
+    }
+    assert!(prev == 1.0, "quantile table must end at probability 1.0");
 }
 
 fn quantile_mean_capped(table: &[(f64, f64)], cap: f64) -> f64 {

@@ -216,6 +216,7 @@ impl BtConfig {
         assert!(self.piece_size > 0.0 && self.piece_size <= self.content_size());
         assert!(self.arrival_rate > 0.0 && self.arrival_rate.is_finite());
         assert!(self.download_cap > 0.0);
+        self.peer_capacity.validate();
         assert!(self.publisher_capacity > 0.0 && self.publisher_capacity.is_finite());
         assert!(
             self.unchoke_slots + self.optimistic_slots >= 1,
@@ -326,6 +327,56 @@ mod tests {
         }
         let back: BtConfig = serde_json::from_value(v).expect("decode");
         assert_eq!(back, c);
+    }
+
+    fn with_capacity(peer_capacity: CapacityDistribution) -> BtConfig {
+        BtConfig {
+            peer_capacity,
+            ..BtConfig::paper_section_4_3(1, 0)
+        }
+    }
+
+    #[test]
+    fn capacity_distributions_validate() {
+        with_capacity(CapacityDistribution::BitTyrant).validate();
+        with_capacity(CapacityDistribution::Empirical(vec![
+            (0.5, 10.0),
+            (1.0, 30.0),
+        ]))
+        .validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "uniform capacity must be positive and finite")]
+    fn rejects_negative_uniform_capacity() {
+        with_capacity(CapacityDistribution::Uniform(-50.0)).validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "must not be empty")]
+    fn rejects_empty_capacity_table() {
+        with_capacity(CapacityDistribution::Empirical(vec![])).validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascend within (0, 1]")]
+    fn rejects_unsorted_capacity_table() {
+        let table = vec![(0.6, 10.0), (0.6, 20.0), (1.0, 30.0)];
+        with_capacity(CapacityDistribution::Empirical(table)).validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "end at probability 1.0")]
+    fn rejects_capacity_table_short_of_one() {
+        let table = vec![(0.5, 10.0), (0.9, 20.0)];
+        with_capacity(CapacityDistribution::Empirical(table)).validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "rates must be positive and finite")]
+    fn rejects_nan_capacity_rate() {
+        let table = vec![(0.5, 50.0), (1.0, f64::NAN)];
+        with_capacity(CapacityDistribution::Empirical(table)).validate();
     }
 
     #[test]

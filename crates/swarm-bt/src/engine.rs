@@ -375,9 +375,10 @@ impl ReplicationIndex {
 /// partial-piece progress in a flat stride-`num_pieces` `f64` arena, for
 /// the same reason.
 ///
-/// Ids are never reused and rows are append-only; id 0 is always the
-/// publisher (there is no `is_publisher` array — `i == PUBLISHER` is the
-/// check).
+/// Ids are never reused and bitmap rows are append-only; id 0 is always
+/// the publisher (there is no `is_publisher` array — `i == PUBLISHER` is
+/// the check). Progress rows are the exception: a peer holds one only
+/// while it downloads (see `BtEngine::progress`).
 #[derive(Default)]
 struct Peers {
     online: Vec<bool>,
@@ -408,7 +409,13 @@ struct Peers {
     /// no reader depends on row order (the taken set is a set, uploader
     /// lookups are unique, window scoring stores per distinct peer).
     conns: Vec<Vec<Conn>>,
+    /// Row of the progress arena this peer writes, or [`NO_ROW`] while it
+    /// holds none (before its first byte, and from completion on).
+    progress_row: Vec<u32>,
 }
+
+/// Sentinel for [`Peers::progress_row`]: the peer holds no progress row.
+const NO_ROW: u32 = u32::MAX;
 
 /// Sentinel for [`Conn::piece`]: no active request on this connection.
 const NO_PIECE: u32 = u32::MAX;
@@ -470,6 +477,7 @@ impl Peers {
         self.recv.push((u64::MAX, 0.0));
         self.neighbors.push(Vec::new());
         self.conns.push(Vec::new());
+        self.progress_row.push(NO_ROW);
         self.online.len() - 1
     }
 }
@@ -506,7 +514,7 @@ struct BtEngine<'c> {
     /// Every peer's piece bitmap, one arena row per id.
     bits: BitArena,
     /// Per-peer "has partial progress" piece bitmap: bit `p` of row `i`
-    /// is set the moment `progress[i * num_pieces + p]` first goes
+    /// is set the moment peer `i`'s progress on piece `p` first goes
     /// positive, and never cleared (completed pieces keep it, but they
     /// leave every candidate set via the held bitmap). It exists so the
     /// partial-resume scan in `pick_piece` touches only actual partials
@@ -515,9 +523,15 @@ struct BtEngine<'c> {
     /// dominated the non-continue pick path.
     partial_bits: BitArena,
     /// Partial bytes per piece, flat with stride `num_pieces`: peer `i`'s
-    /// progress on piece `p` is `progress[i * num_pieces + p]`. (The
-    /// publisher's row exists but is never read — it downloads nothing.)
+    /// progress on piece `p` is `progress[r * num_pieces + p]` with
+    /// `r = peers.progress_row[i]`. A peer gets a row with its first
+    /// byte and hands it back to `free_rows` when it completes (seeds
+    /// never download), so the arena holds as many rows as peers ever
+    /// downloaded at once — not one per peer that ever arrived.
     progress: Vec<f64>,
+    /// Progress rows returned by completed peers, reused (zeroed) before
+    /// the arena grows.
+    free_rows: Vec<u32>,
     num_pieces: usize,
     /// Precomputed `1 / arrival_rate` — the mean of the exponential
     /// inter-arrival gap, so the hot arrival loop never re-divides.
@@ -531,7 +545,6 @@ struct BtEngine<'c> {
     publisher_online_since: Option<u64>,
     result: BtResult,
     completions_total: u64,
-    completions_per_tick: Vec<u64>,
     available_ticks: u64,
     /// Persistent unchoke sets in CSR layout: uploader `unchoked_from[i]`
     /// unchokes `unchoked_flat[unchoked_off[i]..unchoked_off[i + 1]]`.
@@ -712,7 +725,8 @@ impl<'c> BtEngine<'c> {
             peers,
             bits,
             partial_bits,
-            progress: vec![0.0; num_pieces],
+            progress: Vec::new(),
+            free_rows: Vec::new(),
             num_pieces,
             arrival_mean,
             next_arrival,
@@ -722,7 +736,6 @@ impl<'c> BtEngine<'c> {
             publisher_online_since: initially_on.then_some(0),
             result: BtResult::default(),
             completions_total: 0,
-            completions_per_tick: vec![0; (cfg.horizon + cfg.drain_ticks) as usize],
             available_ticks: 0,
             unchoked_from: Vec::new(),
             unchoked_off: Vec::new(),
@@ -1213,8 +1226,6 @@ impl<'c> BtEngine<'c> {
         let row = self.bits.push_row();
         debug_assert_eq!(row, id, "bitmap arena row out of sync with peer id");
         self.partial_bits.push_row();
-        self.progress
-            .resize(self.progress.len() + self.num_pieces, 0.0);
         self.online_ids.push(id);
         self.online_nonpub += 1;
         if let Some(p) = &self.probes {
@@ -1232,14 +1243,16 @@ impl<'c> BtEngine<'c> {
     }
 
     fn reannounce(&mut self) {
-        // Drop connections to departed peers (in place: peers keep their
-        // neighbor-list allocations), then let under-connected peers
-        // query the tracker again. Only online peers' lists need the
-        // prune: an offline node's list is read solely through
-        // active-filtered views (`active_neighbor_count`, rechoke/PEX
-        // candidate scans) and `connect`'s duplicate check, none of
-        // which can observe a stale entry for a departed peer — ids are
-        // never reused. The publisher prunes on its next online round.
+        // Drop connections to departed peers (in place: online peers keep
+        // their neighbor-list allocations), then let under-connected
+        // peers query the tracker again. Only online peers' lists need
+        // the prune: a departed leecher's list is freed (`depart`), and
+        // the offline publisher's is read, once it returns, solely
+        // through active-filtered views (`active_neighbor_count`,
+        // rechoke/PEX candidate scans) and `connect`'s duplicate check,
+        // none of which can observe a stale entry for a departed peer —
+        // ids are never reused. The publisher prunes on its next online
+        // round.
         for idx in 0..self.online_ids.len() {
             let i = self.online_ids[idx];
             let mut neighbors = std::mem::take(&mut self.peers.neighbors[i]);
@@ -1549,11 +1562,15 @@ impl<'c> BtEngine<'c> {
             // SAFETY: `pick_piece` just returned `row` as an index into
             // `conns[d]`, and nothing has touched the rows since.
             unsafe { self.peers.conns.get_unchecked_mut(d).get_unchecked_mut(row) }.cur += bytes;
-            let cell = d * num_pieces + piece;
+            let mut prow = self.peers.progress_row[d];
+            if prow == NO_ROW {
+                prow = self.grant_progress_row(d);
+            }
+            let cell = prow as usize * num_pieces + piece;
             debug_assert!(cell < self.progress.len());
-            // SAFETY: `d < peers.len()` and `piece < num_pieces`, and the
-            // progress arena is kept at `peers.len() * num_pieces` cells
-            // by the same push path that sizes every peer row.
+            // SAFETY: `prow` is a row `grant_progress_row` handed to `d`
+            // and the arena never shrinks, so the row's `num_pieces`
+            // cells are in bounds, and `piece < num_pieces`.
             let (cell_bytes, newly_partial) = unsafe {
                 let c = self.progress.get_unchecked_mut(cell);
                 let was_zero = *c == 0.0;
@@ -1690,11 +1707,22 @@ impl<'c> BtEngine<'c> {
         // Ascending walk with replace-on-ties matches
         // `policy::most_complete_partial`'s last-maximum-wins exactly.
         let mut best_partial: Option<usize> = None;
+        // `d`'s progress row, empty while it holds none; `at` reads an
+        // empty row as zero progress (super-seed and endgame branches).
+        // The partial walk indexes `progress` directly: a row-less peer's
+        // `partial` row is empty, so the walk never reads its slice.
+        let progress: &[f64] = match self.peers.progress_row[d] {
+            NO_ROW => &[],
+            row => {
+                let r = row as usize;
+                &self.progress[r * self.num_pieces..(r + 1) * self.num_pieces]
+            }
+        };
+        let at = |p: usize| progress.get(p).copied().unwrap_or(0.0);
         {
             let theirs = self.bits.row(u);
             let mine = self.bits.row(d);
             let partial = self.partial_bits.row(d);
-            let progress = &self.progress[d * self.num_pieces..(d + 1) * self.num_pieces];
             for wi in 0..theirs.len() {
                 let cand = theirs[wi] & !mine[wi];
                 if cand == 0 {
@@ -1730,8 +1758,7 @@ impl<'c> BtEngine<'c> {
             // piece, maximizing unique-piece injection into the swarm.
             // Partially transferred pieces are finished first — abandoning
             // them would litter the downloader with fragments.
-            let progress = &self.progress[d * self.num_pieces..(d + 1) * self.num_pieces];
-            let pick = match crate::policy::most_complete_partial(&free, |p| progress[p]) {
+            let pick = match crate::policy::most_complete_partial(&free, at) {
                 Some(p) => p,
                 None => {
                     let fresh = free
@@ -1750,11 +1777,10 @@ impl<'c> BtEngine<'c> {
             // only on this branch — the common free-piece path never
             // needs the fallback, and the scan is RNG-free with the same
             // last-maximum-wins result as `Iterator::max_by`.
-            let progress = &self.progress[d * self.num_pieces..(d + 1) * self.num_pieces];
             let mut endgame_best: Option<usize> = None;
             for p in bitfield::and_not_ones(self.bits.row(u), self.bits.row(d)) {
                 match endgame_best {
-                    Some(b) if progress[p] < progress[b] => {}
+                    Some(b) if at(p) < at(b) => {}
                     _ => endgame_best = Some(p),
                 }
             }
@@ -1796,9 +1822,11 @@ impl<'c> BtEngine<'c> {
         self.result
             .completion_curve
             .push((done_at, self.completions_total));
-        if (tick as usize) < self.completions_per_tick.len() {
-            self.completions_per_tick[tick as usize] += 1;
-        }
+        // A seed never downloads again: its progress row goes back to
+        // the pool. It received bytes to complete, so it holds one.
+        let row = std::mem::replace(&mut self.peers.progress_row[d], NO_ROW);
+        debug_assert_ne!(row, NO_ROW, "completed without a progress row");
+        self.free_rows.push(row);
         if self.peers.counted[d] {
             self.result.completions += 1;
             self.result
@@ -1816,13 +1844,46 @@ impl<'c> BtEngine<'c> {
                 self.peers.linger_until[d] = Some(done_at + linger.max(1));
                 self.lingering_online += 1;
             }
-            None => {
-                self.go_offline(d);
-                self.peers.departed[d] = Some(done_at);
-                self.rep.drop_holder(self.bits.row(d));
-                self.online_nonpub -= 1;
-            }
+            None => self.depart(d, done_at),
         }
+    }
+
+    /// Peer `i` leaves the swarm for good at `tick` (completion without
+    /// linger, or linger expiry): it goes offline, its pieces leave the
+    /// replication index, and its neighbor and connection lists are
+    /// freed. No phase reads those lists for a departed peer — they are
+    /// read only for online peers, and departed peers never return
+    /// (DESIGN.md, "Departed peers never return").
+    fn depart(&mut self, i: usize, tick: u64) {
+        self.go_offline(i);
+        self.peers.departed[i] = Some(tick);
+        self.rep.drop_holder(self.bits.row(i));
+        self.online_nonpub -= 1;
+        self.peers.neighbors[i] = Vec::new();
+        self.peers.conns[i] = Vec::new();
+    }
+
+    /// Give downloader `d` a zeroed progress row on its first byte: a
+    /// recycled one when a completed peer returned one, else a new row
+    /// at the end of the arena. Once per download, so kept out of the
+    /// transfer loop's body.
+    #[cold]
+    fn grant_progress_row(&mut self, d: usize) -> u32 {
+        let np = self.num_pieces;
+        let row = match self.free_rows.pop() {
+            Some(row) => {
+                let r = row as usize;
+                self.progress[r * np..(r + 1) * np].fill(0.0);
+                row
+            }
+            None => {
+                let row = (self.progress.len() / np) as u32;
+                self.progress.resize(self.progress.len() + np, 0.0);
+                row
+            }
+        };
+        self.peers.progress_row[d] = row;
+        row
     }
 
     fn linger_expiry(&mut self, tick: u64) {
@@ -1837,23 +1898,16 @@ impl<'c> BtEngine<'c> {
         }
         self.fill_online();
         let sweep = std::mem::take(&mut self.scratch_online);
-        let mut expired = 0usize;
         for &i in &sweep {
             if i == PUBLISHER || !self.peers.online[i] {
                 continue;
             }
-            if let Some(until) = self.peers.linger_until[i] {
-                if until <= tick {
-                    self.go_offline(i);
-                    self.peers.departed[i] = Some(tick);
-                    self.rep.drop_holder(self.bits.row(i));
-                    expired += 1;
-                }
+            if self.peers.linger_until[i].is_some_and(|until| until <= tick) {
+                self.depart(i, tick);
+                self.lingering_online -= 1;
             }
         }
         self.scratch_online = sweep;
-        self.online_nonpub -= expired;
-        self.lingering_online -= expired;
     }
 
     fn availability_check(&mut self, tick: u64) {
@@ -1910,9 +1964,10 @@ impl<'c> BtEngine<'c> {
         }
     }
 
-    /// From-scratch recount cross-check of the incremental index and the
-    /// `online_ids` list (debug builds only, every 60 ticks): every
-    /// debug-mode engine run doubles as an index-consistency test.
+    /// From-scratch recount cross-check of the incremental index, the
+    /// `online_ids` list and the per-peer allocations (debug builds only,
+    /// every 60 ticks): every debug-mode engine run doubles as an
+    /// index-consistency test.
     fn check_index_consistency(&self) {
         assert_eq!(
             self.online_ids.len(),
@@ -1957,6 +2012,43 @@ impl<'c> BtEngine<'c> {
                 .count(),
             "lingering-seed count drifted"
         );
+        // Progress rows: held exactly by the leechers that have received
+        // a byte, each row owned by one peer or free, never both.
+        let mut owner = vec![false; self.progress.len() / self.num_pieces];
+        for i in 0..self.peers.len() {
+            let started = self.partial_bits.row(i).iter().any(|&w| w != 0);
+            let row = self.peers.progress_row[i];
+            assert_eq!(
+                row != NO_ROW,
+                !self.is_seed(i) && started,
+                "peer {i}: progress row held outside its download"
+            );
+            if row != NO_ROW {
+                assert!(!owner[row as usize], "progress row {row} held twice");
+                owner[row as usize] = true;
+            }
+        }
+        for &row in &self.free_rows {
+            assert!(
+                !owner[row as usize],
+                "progress row {row} both held and free"
+            );
+            owner[row as usize] = true;
+        }
+        assert!(owner.iter().all(|&o| o), "progress row leaked");
+        // Departed leechers keep no neighbor or connection storage.
+        for i in (1..self.peers.len()).filter(|&i| self.peers.departed[i].is_some()) {
+            assert_eq!(
+                self.peers.neighbors[i].capacity(),
+                0,
+                "departed peer {i} kept neighbors"
+            );
+            assert_eq!(
+                self.peers.conns[i].capacity(),
+                0,
+                "departed peer {i} kept connections"
+            );
+        }
     }
 
     fn finalize(mut self) -> BtResult {
@@ -1978,15 +2070,7 @@ impl<'c> BtEngine<'c> {
                 })
                 .collect();
         }
-        // Flash departures: max completions in any FLASH_WINDOW-tick window.
-        let w = FLASH_WINDOW as usize;
-        let mut max_flash = 0u64;
-        for i in 0..self.completions_per_tick.len() {
-            let end = (i + w).min(self.completions_per_tick.len());
-            let sum: u64 = self.completions_per_tick[i..end].iter().sum();
-            max_flash = max_flash.max(sum);
-        }
-        self.result.max_flash_departures = max_flash;
+        self.result.max_flash_departures = max_flash_departures(&self.result.completion_curve);
         if self.probes.is_some() {
             swarm_obs::emit(
                 "bt.run.end",
@@ -2016,6 +2100,39 @@ impl<'c> BtEngine<'c> {
 
 fn exp_sample<R: Rng + ?Sized>(rng: &mut R, mean: f64) -> f64 {
     -(1.0 - rng.gen::<f64>()).ln() * mean
+}
+
+/// Flash departures: the most completions whose ticks differ by less
+/// than [`FLASH_WINDOW`], i.e. the busiest `FLASH_WINDOW`-tick window.
+/// `curve` lists every completion in tick order, so one two-pointer
+/// sweep finds it.
+fn max_flash_departures(curve: &[(u64, u64)]) -> u64 {
+    let mut lo = 0;
+    let mut best = 0;
+    for (hi, &(t, _)) in curve.iter().enumerate() {
+        while t - curve[lo].0 >= FLASH_WINDOW {
+            lo += 1;
+        }
+        best = best.max(hi + 1 - lo);
+    }
+    best as u64
+}
+
+/// The per-tick form [`max_flash_departures`] replaced, kept as its test
+/// reference: completions bucketed by the tick they happened in (one
+/// before the curve's end-of-tick stamp) over a `run_ticks`-tick run,
+/// then the largest sum over `FLASH_WINDOW` consecutive buckets.
+#[cfg(test)]
+fn max_flash_per_tick(curve: &[(u64, u64)], run_ticks: u64) -> u64 {
+    let mut per_tick = vec![0u64; run_ticks as usize];
+    for &(done_at, _) in curve {
+        per_tick[(done_at - 1) as usize] += 1;
+    }
+    let w = FLASH_WINDOW as usize;
+    (0..per_tick.len())
+        .map(|i| per_tick[i..(i + w).min(per_tick.len())].iter().sum())
+        .max()
+        .unwrap_or(0)
 }
 
 /// Smallest multiple of `interval` that is ≥ `from`.
@@ -2258,6 +2375,33 @@ mod tests {
                 sorted.sort_unstable();
                 prop_assert_eq!(rep.sorted_counts(), sorted);
             }
+        }
+
+        #[test]
+        fn flash_sweep_matches_per_tick_windows(
+            start in 1u64..8,
+            // Gaps of 0 stack completions in one tick; FLASH_WINDOW - 1,
+            // FLASH_WINDOW and FLASH_WINDOW + 1 straddle the window edge.
+            gaps in prop::collection::vec(
+                prop::sample::select(vec![0u64, 0, 1, 2, 4, 5, 6, 9]),
+                0..40,
+            ),
+            one_tick in prop::bool::ANY,
+            tail in 0u64..8,
+        ) {
+            let mut t = start;
+            let mut curve = Vec::new();
+            for (n, &gap) in gaps.iter().enumerate() {
+                if !one_tick {
+                    t += gap;
+                }
+                curve.push((t, n as u64 + 1));
+            }
+            let run_ticks = t + tail;
+            prop_assert_eq!(
+                max_flash_departures(&curve),
+                max_flash_per_tick(&curve, run_ticks)
+            );
         }
 
         #[test]

@@ -42,7 +42,8 @@ pub struct BtResult {
     /// "flash departure" signature of Figure 5(a): blocked peers all
     /// finish together when the publisher returns.
     pub max_flash_departures: u64,
-    /// Peers still online (downloading or lingering) at the horizon.
+    /// Peers still online (downloading or lingering) when the run ends:
+    /// after any drain ticks, not at the horizon itself.
     pub in_flight_at_horizon: u64,
     /// `(tick, pieces held by at least one online peer)` — recorded when
     /// `record_timeline` is set; shows piece extinction after the
