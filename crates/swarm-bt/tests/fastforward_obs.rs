@@ -1,107 +1,158 @@
 //! Telemetry equivalence of the quiescence fast-forward.
 //!
-//! Every deterministic `bt.*` counter — ticks, bytes, arrivals,
-//! completions, rechokes, churn, blocked ticks, availability
-//! transitions — must be *identical* between a dense and an elided run
-//! of the same config. Only the two fast-forward counters themselves
-//! (`bt.ticks_elided`, `bt.fastforward.jumps`) may differ: zero under
-//! the dense loop, positive once elision engages.
+//! Every config `fastforward.rs` pins, plus a seeded sweep over the
+//! ranges its proptest draws from (timelines on and off), runs densely
+//! and with fast-forward under full telemetry. The two runs must agree
+//! on everything deterministic the engine publishes:
+//!
+//! - every `bt.*` counter delta — ticks, bytes, arrivals, completions,
+//!   rechokes, churn, blocked ticks, availability transitions — except
+//!   the two fast-forward counters themselves (`bt.ticks_elided`,
+//!   `bt.fastforward.jumps`: zero under the dense loop);
+//! - the final value of every `bt.*` gauge;
+//! - the serialized `"bt"` time series;
+//! - the payload of every `bt.*` event, in order, with the process-wide
+//!   run ordinal removed.
 //!
 //! Own test binary: it owns the process-global `swarm-obs` state
-//! (enable switch + counter registry), which must not race with other
-//! tests' runs.
+//! (enable switch, metric registry, flight recorder, series registry),
+//! which must not race with other tests' runs.
 
+mod common;
+
+use proptest::prelude::*;
+use proptest::TestRng;
 use std::collections::BTreeMap;
-use swarm_bt::{run, BtConfig, BtPublisher};
+use swarm_bt::{run, BtConfig};
 
 /// The counters introduced by the fast-forward path; everything else
 /// under `bt.` must match a dense run exactly.
 const FF_COUNTERS: [&str; 2] = ["bt.ticks_elided", "bt.fastforward.jumps"];
 
-fn bt_counters(snap: &swarm_obs::Snapshot) -> BTreeMap<String, u64> {
-    snap.counters
-        .iter()
-        .filter(|(k, _)| k.starts_with("bt.") && !k.ends_with("_ns") && !k.ends_with("_ms"))
-        .map(|(k, &v)| (k.clone(), v))
-        .collect()
+/// Configs drawn from the proptest's ranges.
+const SWEEP: usize = 40;
+
+/// A `bt.*` event with its run ordinal removed.
+type Payload = (String, Vec<(String, serde_json::Value)>);
+
+/// Everything deterministic one run publishes.
+struct Observed {
+    result: String,
+    counters: BTreeMap<String, u64>,
+    gauges: BTreeMap<String, i64>,
+    series: String,
+    events: Vec<Payload>,
+}
+
+/// Run `cfg` under telemetry inside job scope `job` and collect what it
+/// published. Every `bt.*` gauge is first set to a sentinel, so a gauge
+/// one run never writes cannot inherit the previous run's value.
+fn observe(job: &str, cfg: &BtConfig) -> (Observed, u64, u64) {
+    for name in swarm_obs::snapshot().gauges.keys() {
+        if name.starts_with("bt.") {
+            swarm_obs::gauge(name).set(i64::MIN);
+        }
+    }
+    let _ = swarm_obs::take_series("bt");
+    let before = swarm_obs::snapshot();
+    let result = {
+        let _job = swarm_obs::job_scope(job);
+        run(cfg)
+    };
+    let after = swarm_obs::snapshot();
+    let delta = after.delta_since(&before);
+    let series = swarm_obs::take_series("bt")
+        .map(|rec| swarm_obs::series_to_jsonl(&BTreeMap::from([("bt".to_string(), rec)])))
+        .unwrap_or_default();
+    let events = swarm_obs::drain_job(job)
+        .into_iter()
+        .filter(|e| e.kind.starts_with("bt."))
+        .map(|e| {
+            let fields = e.fields.into_iter().filter(|(k, _)| k != "run").collect();
+            (e.kind, fields)
+        })
+        .collect();
+    let observed = Observed {
+        result: serde_json::to_string(&result).expect("serialize"),
+        counters: delta
+            .counters
+            .iter()
+            .filter(|(k, _)| k.starts_with("bt.") && !FF_COUNTERS.contains(&k.as_str()))
+            .map(|(k, &v)| (k.clone(), v))
+            .collect(),
+        gauges: after
+            .gauges
+            .into_iter()
+            .filter(|(k, _)| k.starts_with("bt."))
+            .collect(),
+        series,
+        events,
+    };
+    let elided = delta.counter("bt.ticks_elided");
+    let jumps = delta.counter("bt.fastforward.jumps");
+    (observed, elided, jumps)
 }
 
 #[test]
-fn deterministic_counters_match_dense() {
-    // An idle-heavy §4.3 run with lingering: off-periods, linger-expiry
-    // wakes and peer-sustained availability all in play.
-    let cfg = BtConfig {
-        arrival_rate: 1.0 / 120.0,
-        publisher: BtPublisher::OnOff {
-            on_mean: 120.0,
-            off_mean: 900.0,
-            initially_on: true,
-        },
-        linger_mean: Some(60.0),
-        horizon: 2_400,
-        drain_ticks: 1_200,
-        ..BtConfig::paper_section_4_3(1, 97)
-    };
-    let dense_cfg = BtConfig {
-        disable_fast_forward: true,
-        ..cfg.clone()
-    };
+fn telemetry_matches_dense_on_every_config() {
+    let mut configs = common::fixed_configs()
+        .into_iter()
+        .map(|(label, cfg)| (label.to_string(), cfg))
+        .collect::<Vec<_>>();
+    let strategy = common::random_config();
+    let mut rng = TestRng::new(0x5eed_fa57);
+    for i in 0..SWEEP {
+        let mut cfg = strategy.generate(&mut rng);
+        cfg.record_timeline = i % 2 == 0;
+        configs.push((format!("sweep {i}"), cfg));
+    }
 
     swarm_obs::set_enabled(true);
-    let s0 = swarm_obs::snapshot();
-    let dense = serde_json::to_string(&run(&dense_cfg)).expect("serialize");
-    let s1 = swarm_obs::snapshot();
-    let elided = serde_json::to_string(&run(&cfg)).expect("serialize");
-    let s2 = swarm_obs::snapshot();
-    swarm_obs::set_enabled(false);
-
-    assert_eq!(dense, elided, "results must match under telemetry too");
-
-    let dense_delta = bt_counters(&s1.delta_since(&s0));
-    let elided_delta = bt_counters(&s2.delta_since(&s1));
-
-    for (name, &dense_v) in &dense_delta {
-        if FF_COUNTERS.contains(&name.as_str()) {
-            continue;
-        }
-        let elided_v = elided_delta.get(name).copied().unwrap_or(0);
-        assert_eq!(
-            dense_v, elided_v,
-            "counter {name} diverged: dense {dense_v} vs elided {elided_v}"
-        );
-    }
-    for (name, &elided_v) in &elided_delta {
-        if FF_COUNTERS.contains(&name.as_str()) {
-            continue;
-        }
+    swarm_obs::set_ring_capacity(1 << 20);
+    let dropped_before = swarm_obs::dropped_events();
+    let mut total_elided = 0;
+    for (label, cfg) in &configs {
+        let (dense, dense_elided, dense_jumps) =
+            observe(&format!("{label} dense"), &common::dense(cfg));
+        let (elided, elided_ticks, jumps) = observe(&format!("{label} elided"), cfg);
+        assert_eq!(dense_elided, 0, "{label}: the dense loop elided ticks");
+        assert_eq!(dense_jumps, 0, "{label}: the dense loop jumped");
         assert!(
-            dense_delta.contains_key(name),
-            "counter {name} ({elided_v}) appeared only under fast-forward"
+            dense.counters.get("bt.ticks").copied().unwrap_or(0) > elided_ticks,
+            "{label}: cannot elide every tick of the run"
         );
+        assert!(!dense.series.is_empty(), "{label}: no series recorded");
+        assert!(!dense.events.is_empty(), "{label}: no events recorded");
+        assert_eq!(dense.result, elided.result, "{label}: results diverged");
+        assert_eq!(
+            dense.counters, elided.counters,
+            "{label}: counters diverged"
+        );
+        assert_eq!(
+            dense.gauges, elided.gauges,
+            "{label}: final gauges diverged"
+        );
+        assert_eq!(dense.series, elided.series, "{label}: series diverged");
+        assert_eq!(
+            dense.events.len(),
+            elided.events.len(),
+            "{label}: event count"
+        );
+        for (d, e) in dense.events.iter().zip(&elided.events) {
+            assert_eq!(d, e, "{label}: event payloads diverged");
+        }
+        assert_eq!(
+            jumps > 0,
+            elided_ticks > 0,
+            "{label}: jumps vs elided ticks"
+        );
+        total_elided += elided_ticks;
     }
-
-    // The dense run must not elide; the elided run must actually jump.
-    assert_eq!(dense_delta.get("bt.ticks_elided").copied().unwrap_or(0), 0);
+    swarm_obs::set_enabled(false);
     assert_eq!(
-        dense_delta
-            .get("bt.fastforward.jumps")
-            .copied()
-            .unwrap_or(0),
-        0
+        swarm_obs::dropped_events(),
+        dropped_before,
+        "the flight recorder dropped events"
     );
-    let skipped = elided_delta.get("bt.ticks_elided").copied().unwrap_or(0);
-    let jumps = elided_delta
-        .get("bt.fastforward.jumps")
-        .copied()
-        .unwrap_or(0);
-    assert!(skipped > 0, "idle-heavy run must elide ticks");
-    assert!(jumps > 0, "idle-heavy run must take jumps");
-    // Sanity: elided + executed == dense tick count.
-    let dense_ticks = dense_delta["bt.ticks"];
-    let elided_ticks = elided_delta["bt.ticks"];
-    assert_eq!(dense_ticks, elided_ticks, "bt.ticks must match exactly");
-    assert!(
-        skipped < dense_ticks,
-        "cannot elide more ticks than the run has"
-    );
+    assert!(total_elided > 0, "the sweep must exercise the fast-forward");
 }
