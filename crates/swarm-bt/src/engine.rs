@@ -133,10 +133,9 @@ impl BtProbes {
 /// Window-boundary accumulator feeding the `"bt"` time series: counter
 /// deltas gather in plain fields and flush into the recorder once per
 /// [`TS_WINDOW`] ticks, so the per-tick cost is a few integer adds.
-/// Allocated *iff* probes are (the availability latch it reads is
-/// probes-maintained). Everything recorded here is virtual-tick-keyed
-/// and deterministic: the dense-vs-fast-forward test diffs the series
-/// byte for byte.
+/// Allocated only while probes are, and fed by `account` beside them.
+/// Everything recorded here is virtual-tick-keyed and deterministic: the
+/// dense-vs-fast-forward test diffs the series byte for byte.
 struct TsAcc {
     rec: swarm_obs::Recorder,
     /// First tick of the *next* window (current window is
@@ -192,27 +191,22 @@ impl TsAcc {
         self.next_boundary += TS_WINDOW;
     }
 
-    /// Replay an elided quiescent span `[from, to)`: the per-tick
-    /// accounting is constant across the span, so each window gets its
-    /// share analytically. Partial windows at either edge go through the
-    /// accumulators (merging with dense ticks sharing the window); the
-    /// whole windows between them fold straight into the recorder via
+    /// Account the ticks `[from, to)`, each moving `bytes`, scoring
+    /// `blocked` blocked leechers and earning availability credit iff
+    /// `available`. Partial windows at either edge go through the
+    /// accumulators (merging with the ticks that share them); the whole
+    /// windows between them fold straight into the recorder via
     /// [`swarm_obs::Recorder::add_span`] — one map walk per slot instead
-    /// of one flush per window, with byte-identical output. Gaps never
-    /// straddle the horizon, so the availability credit is
-    /// all-or-nothing (mirrors `fast_forward`'s own credit).
-    fn fast_forward(&mut self, from: u64, to: u64, blocked: u64, credit_available: bool) {
+    /// of one flush per window, with byte-identical output. A dense tick
+    /// is the one-tick span, and how a range is split into calls never
+    /// changes the series.
+    fn add_ticks(&mut self, from: u64, to: u64, bytes: u64, blocked: u64, available: bool) {
         let mut t = from;
         if t < to {
             // Leading partial window (or the first whole one when `t`
             // sits on a boundary).
             let bound = self.next_boundary.min(to);
-            let span = bound - t;
-            self.win_ticks += span;
-            self.win_blocked += blocked * span;
-            if credit_available {
-                self.win_available += span;
-            }
+            self.accumulate(bound - t, bytes, blocked, available);
             t = bound;
             if t == self.next_boundary {
                 self.flush_window();
@@ -226,8 +220,9 @@ impl TsAcc {
                 bulk_end,
                 &[
                     ("ticks", 1),
-                    ("available_ticks", credit_available as u64),
+                    ("available_ticks", available as u64),
                     ("blocked_ticks", blocked),
+                    ("bytes_moved", bytes),
                 ],
             );
             self.next_boundary = bulk_end + TS_WINDOW;
@@ -236,13 +231,22 @@ impl TsAcc {
         if t < to {
             // Trailing partial window stays in the accumulators until a
             // later tick crosses its boundary.
-            let span = to - t;
-            self.win_ticks += span;
-            self.win_blocked += blocked * span;
-            if credit_available {
-                self.win_available += span;
-            }
+            self.accumulate(to - t, bytes, blocked, available);
         }
+    }
+
+    /// Add `ticks` ticks of per-tick quantities to the open window.
+    fn accumulate(&mut self, ticks: u64, bytes: u64, blocked: u64, available: bool) {
+        self.win_ticks += ticks;
+        self.win_bytes += bytes * ticks;
+        self.win_blocked += blocked * ticks;
+        self.win_available += available as u64 * ticks;
+    }
+
+    /// Flush the trailing partial window and hand over the recorder.
+    fn finish(mut self) -> swarm_obs::Recorder {
+        self.flush_window();
+        self.rec
     }
 }
 
@@ -614,10 +618,6 @@ struct BtEngine<'c> {
     online_nonpub: usize,
     /// Online peers that completed and are lingering as seeds.
     lingering_online: usize,
-    /// Bytes moved / distinct receivers in the current tick (written by
-    /// `transfer_round`, read by `record_tick_metrics`).
-    tick_bytes: f64,
-    tick_receivers: usize,
     /// Availability latch for sparse transition events.
     last_available: Option<bool>,
     /// Sorted `(uploader << 32) | downloader` unchoke pairs from the
@@ -766,8 +766,6 @@ impl<'c> BtEngine<'c> {
             run_ord,
             online_nonpub: 0,
             lingering_online: 0,
-            tick_bytes: 0.0,
-            tick_receivers: 0,
             last_available: None,
             unchoke_pairs_prev: Vec::new(),
             unchoke_pairs_cur: Vec::new(),
@@ -815,10 +813,12 @@ impl<'c> BtEngine<'c> {
             self.rechoke();
             self.force_rechoke = false;
         }
-        self.transfer_round(tick);
+        let (bytes, receivers) = self.transfer_round(tick);
         self.linger_expiry(tick);
-        self.availability_check(tick);
-        self.record_tick_metrics(tick, t0);
+        self.account(tick, tick + 1, bytes, receivers);
+        if let (Some(p), Some(t0)) = (&self.probes, t0) {
+            p.tick_ns.record_duration(t0.elapsed());
+        }
     }
 
     // --- observability ---------------------------------------------------
@@ -834,62 +834,103 @@ impl<'c> BtEngine<'c> {
         }
     }
 
-    /// Publish the per-tick gauges/counters. A no-op (one branch) while
-    /// recording is disabled.
-    #[inline]
-    fn record_tick_metrics(&mut self, tick: u64, t0: Option<std::time::Instant>) {
+    /// Account the ticks `[from, to)`, over which engine state is
+    /// constant: each moves `bytes` to `receivers` distinct peers (a
+    /// dense tick passes its transfer round's pair, a fast-forwarded
+    /// span zero). The one writer of availability credit, the timeline
+    /// curves, the per-tick probes, the `bt.availability` and strided
+    /// `bt.tick` events and the window series, so a jump accounts its
+    /// span exactly as the dense loop would have, tick by tick.
+    fn account(&mut self, from: u64, to: u64, bytes: f64, receivers: usize) {
+        // All replication views — coverage, minimum replication and the
+        // sorted-count snapshot — read the incremental index; nothing
+        // here scans peers or pieces.
+        let covered = self.rep.covered;
+        let min_rep = self.rep.min_replication();
+        if self.cfg.record_timeline {
+            for t in from..to {
+                self.result.aggregate_rate_curve.push((t, bytes));
+                self.result.peer_coverage_curve.push((t, covered));
+                self.result.min_replication_curve.push((t, min_rep));
+                if t.is_multiple_of(60) {
+                    self.result
+                        .replication_snapshots
+                        .push((t, self.rep.sorted_counts()));
+                }
+            }
+        }
+        if cfg!(debug_assertions) && next_multiple(from, 60) < to {
+            self.check_index_consistency();
+        }
+        let available = self.peers.online[PUBLISHER] || covered == self.num_pieces;
+        // The availability fraction is defined over the arrival window:
+        // drain ticks move last_available_tick but earn no credit. Spans
+        // never straddle the horizon (`next_wake` caps there).
+        debug_assert!(to <= self.cfg.horizon || from >= self.cfg.horizon);
+        let credit = available && from < self.cfg.horizon;
+        if credit {
+            self.available_ticks += to - from;
+        }
+        if available {
+            self.result.last_available_tick = Some(to - 1);
+        }
         let Some(p) = &self.probes else { return };
-        p.ticks.inc();
-        p.bytes.add(self.tick_bytes.round() as u64);
-        let publisher_on = usize::from(self.peers.online[PUBLISHER]);
-        p.online.set((self.online_nonpub + publisher_on) as i64);
-        p.covered.set(self.rep.covered as i64);
-        p.min_rep.set(self.rep.min_replication() as i64);
+        let publisher_on = self.peers.online[PUBLISHER];
+        let online = self.online_nonpub + usize::from(publisher_on);
         // Blocked leechers: online, not yet complete, received nothing
         // this tick. Completions mid-tick can make receivers exceed the
         // end-of-tick leecher count, hence the saturation.
-        let leechers = self.online_nonpub - self.lingering_online;
-        let blocked = leechers.saturating_sub(self.tick_receivers);
-        p.blocked.set(blocked as i64);
-        p.blocked_ticks.add(blocked as u64);
-        if let Some(t0) = t0 {
-            p.tick_ns.record_duration(t0.elapsed());
-        }
-        // Windowed time series: same quantities as the probes, but
-        // bucketed at TS_WINDOW boundaries instead of run-total.
-        if let Some(ts) = &mut self.ts {
-            ts.win_ticks += 1;
-            ts.win_bytes += self.tick_bytes.round() as u64;
-            ts.win_blocked += blocked as u64;
-            if self.last_available == Some(true) && tick < self.cfg.horizon {
-                ts.win_available += 1;
+        let blocked = (self.online_nonpub - self.lingering_online).saturating_sub(receivers);
+        // Sparse event stream: one event per availability transition
+        // (plus the initial state), not one per tick.
+        if self.last_available != Some(available) {
+            if self.last_available.is_some() {
+                p.avail_transitions.inc();
             }
-            if tick + 1 == ts.next_boundary {
-                ts.flush_window();
-            }
+            self.last_available = Some(available);
+            swarm_obs::emit(
+                "bt.availability",
+                &[
+                    ("run", swarm_obs::val(self.run_ord)),
+                    ("tick", swarm_obs::val(from)),
+                    ("available", swarm_obs::val(available)),
+                    ("covered", swarm_obs::val(covered as u64)),
+                    ("min_replication", swarm_obs::val(min_rep as u64)),
+                ],
+            );
         }
-        // Sparse tick stream for trace analysis: gauges above are
+        // Sparse tick stream for trace analysis: the gauges below are
         // last-write-wins, so timelines need periodic samples. Strided
         // to stay under the CI overhead guard.
-        if tick.is_multiple_of(TICK_EVENT_SAMPLE) {
+        let mut t = next_multiple(from, TICK_EVENT_SAMPLE);
+        while t < to {
             swarm_obs::emit(
                 "bt.tick",
                 &[
                     ("run", swarm_obs::val(self.run_ord)),
-                    ("tick", swarm_obs::val(tick)),
-                    (
-                        "online",
-                        swarm_obs::val((self.online_nonpub + publisher_on) as u64),
-                    ),
+                    ("tick", swarm_obs::val(t)),
+                    ("online", swarm_obs::val(online as u64)),
                     ("blocked", swarm_obs::val(blocked as u64)),
-                    ("covered", swarm_obs::val(self.rep.covered as u64)),
-                    (
-                        "min_replication",
-                        swarm_obs::val(self.rep.min_replication() as u64),
-                    ),
-                    ("publisher_on", swarm_obs::val(self.peers.online[PUBLISHER])),
+                    ("covered", swarm_obs::val(covered as u64)),
+                    ("min_replication", swarm_obs::val(min_rep as u64)),
+                    ("publisher_on", swarm_obs::val(publisher_on)),
                 ],
             );
+            t += TICK_EVENT_SAMPLE;
+        }
+        let ticks = to - from;
+        let bytes = bytes.round() as u64;
+        p.ticks.add(ticks);
+        p.bytes.add(bytes * ticks);
+        p.blocked_ticks.add(blocked as u64 * ticks);
+        p.online.set(online as i64);
+        p.blocked.set(blocked as i64);
+        p.covered.set(covered as i64);
+        p.min_rep.set(min_rep as i64);
+        // Windowed time series: same quantities as the probes, but
+        // bucketed at TS_WINDOW boundaries instead of run-total.
+        if let Some(ts) = &mut self.ts {
+            ts.add_ticks(from, to, bytes, blocked as u64, credit);
         }
     }
 
@@ -937,9 +978,12 @@ impl<'c> BtEngine<'c> {
     // identical pieces and nothing to exchange. Executing those ticks
     // densely costs a full phase sweep each for provably zero effect.
     // After every dense tick `next_wake` names the earliest tick at which
-    // anything can happen; the loop jumps the clock there, and
-    // `fast_forward` replays the per-tick accounting the dense loop would
-    // have produced, exactly.
+    // anything can happen, and the loop jumps the clock there. The
+    // skipped span goes through `account`, the function that accounts
+    // every dense tick: engine state is constant across the span, so one
+    // `[from, to)` call with nothing moved writes exactly what the dense
+    // loop would have written tick by tick. Soundness is therefore only a
+    // question of scheduling — would every elided tick have been a no-op?
     //
     // Each periodic phase records in `Quiet` whether its own last run
     // was a fixed point, and the wake is the minimum over the events the
@@ -1009,93 +1053,22 @@ impl<'c> BtEngine<'c> {
         (wake > from).then_some(wake)
     }
 
-    /// Jump the clock across the provably quiescent span `[from, to)`,
-    /// replaying exactly the accounting the dense loop would have
-    /// produced: availability credit, flat timeline-curve points, the
-    /// per-tick counters and gauges, the counter effect of boundary
-    /// no-op rechokes, and the strided `bt.tick` events `swarm-trace`
-    /// reconstructs timelines from.
+    /// Jump the clock across the provably quiescent span `[from, to)`:
+    /// nothing moves, so the span is accounted like any tick with no
+    /// bytes and no receivers. What is specific to jumping stays here:
+    /// the fast-forward counters, and the counter effect of the rechoke
+    /// boundaries crossed — metrics-only no-ops, since rechoke is quiet
+    /// (it rebuilds the same empty table, so churn is zero) or the wake
+    /// was capped before the first boundary.
     fn fast_forward(&mut self, from: u64, to: u64) {
-        let elided = to - from;
-        let available = self.peers.online[PUBLISHER] || self.rep.covered == self.num_pieces;
-        if available {
-            // Gaps never straddle the horizon (`next_wake` caps there),
-            // so the whole span earns credit or none of it does.
-            if from < self.cfg.horizon {
-                self.available_ticks += elided;
-            }
-            self.result.last_available_tick = Some(to - 1);
-        }
-        if self.cfg.record_timeline {
-            // The curves are defined on the dense tick grid; the elided
-            // span contributes flat segments.
-            let covered = self.rep.covered;
-            let min_rep = self.rep.min_replication();
-            for t in from..to {
-                self.result.aggregate_rate_curve.push((t, 0.0));
-                self.result.peer_coverage_curve.push((t, covered));
-                self.result.min_replication_curve.push((t, min_rep));
-                if t.is_multiple_of(60) {
-                    self.result
-                        .replication_snapshots
-                        .push((t, self.rep.sorted_counts()));
-                }
-            }
-        }
+        self.account(from, to, 0.0, 0);
         let Some(p) = &self.probes else { return };
-        p.ticks_elided.add(elided);
+        p.ticks_elided.add(to - from);
         p.ff_jumps.inc();
-        p.ticks.add(elided);
-        let publisher_on = usize::from(self.peers.online[PUBLISHER]);
-        p.online.set((self.online_nonpub + publisher_on) as i64);
-        p.covered.set(self.rep.covered as i64);
-        p.min_rep.set(self.rep.min_replication() as i64);
-        // No receiver in a quiescent span: every online leecher counts
-        // as blocked, exactly as the dense loop would have scored it.
-        let blocked = self.online_nonpub - self.lingering_online;
-        p.blocked.set(blocked as i64);
-        p.blocked_ticks.add(blocked as u64 * elided);
-        // Rechoke boundaries inside the gap were metrics-only no-ops
-        // (rechoke is quiet: it rebuilds the same empty table, so churn
-        // is zero; or the wake was capped before the first boundary);
-        // replay their counter effects.
         let rechokes = count_multiples(from, to, self.cfg.rechoke_interval);
         if rechokes > 0 {
             p.rechokes.add(rechokes);
             p.unchoke_pairs.set(0);
-        }
-        // Replay the windowed series for the elided span: same per-tick
-        // quantities the dense loop would have accumulated (no bytes
-        // move and nobody arrives or completes in a quiescent span, so
-        // those stay zero — the skipped windows flush as explicit flat
-        // records).
-        let credit_available = available && from < self.cfg.horizon;
-        if let Some(ts) = &mut self.ts {
-            ts.fast_forward(from, to, blocked as u64, credit_available);
-        }
-        // The strided tick events, with payloads identical to the ones
-        // the dense loop would have emitted at the same ticks.
-        let mut t = next_multiple(from, TICK_EVENT_SAMPLE);
-        while t < to {
-            swarm_obs::emit(
-                "bt.tick",
-                &[
-                    ("run", swarm_obs::val(self.run_ord)),
-                    ("tick", swarm_obs::val(t)),
-                    (
-                        "online",
-                        swarm_obs::val((self.online_nonpub + publisher_on) as u64),
-                    ),
-                    ("blocked", swarm_obs::val(blocked as u64)),
-                    ("covered", swarm_obs::val(self.rep.covered as u64)),
-                    (
-                        "min_replication",
-                        swarm_obs::val(self.rep.min_replication() as u64),
-                    ),
-                    ("publisher_on", swarm_obs::val(self.peers.online[PUBLISHER])),
-                ],
-            );
-            t += TICK_EVENT_SAMPLE;
         }
     }
 
@@ -1481,7 +1454,9 @@ impl<'c> BtEngine<'c> {
         c.piece != NO_PIECE && tick.saturating_sub(c.ts) < REQUEST_TIMEOUT
     }
 
-    fn transfer_round(&mut self, tick: u64) {
+    /// Plan and execute this tick's transfers, returning the bytes
+    /// moved and the number of distinct peers that received any.
+    fn transfer_round(&mut self, tick: u64) -> (f64, usize) {
         // Plan allocations from the persistent unchoke sets, skipping
         // entries that have gone offline, completed, or lost interest.
         // The CSR unchoke table was built with uploaders ascending, so
@@ -1603,16 +1578,11 @@ impl<'c> BtEngine<'c> {
             }
         }
         self.scratch_alloc = allocations;
-        self.tick_bytes = bytes_moved;
-        self.tick_receivers = receivers;
-
-        if self.cfg.record_timeline {
-            self.result.aggregate_rate_curve.push((tick, bytes_moved));
-        }
         for &d in &newly_complete {
             self.complete(d, tick);
         }
         self.scratch_complete = newly_complete;
+        (bytes_moved, receivers)
     }
 
     fn piece_len(&self, piece: usize) -> f64 {
@@ -1910,60 +1880,6 @@ impl<'c> BtEngine<'c> {
         self.scratch_online = sweep;
     }
 
-    fn availability_check(&mut self, tick: u64) {
-        // All replication views — coverage, minimum replication and the
-        // sorted-count snapshot — read the incremental index; nothing
-        // here scans peers or pieces.
-        let peer_coverage = self.rep.covered;
-        if self.cfg.record_timeline {
-            self.result.peer_coverage_curve.push((tick, peer_coverage));
-            self.result
-                .min_replication_curve
-                .push((tick, self.rep.min_replication()));
-            if tick.is_multiple_of(60) {
-                self.result
-                    .replication_snapshots
-                    .push((tick, self.rep.sorted_counts()));
-            }
-        }
-        if cfg!(debug_assertions) && tick.is_multiple_of(60) {
-            self.check_index_consistency();
-        }
-        let available = self.peers.online[PUBLISHER] || peer_coverage == self.num_pieces;
-        if let Some(p) = &self.probes {
-            // Sparse event stream: one event per availability transition
-            // (plus the initial state), not one per tick.
-            if self.last_available != Some(available) {
-                if self.last_available.is_some() {
-                    p.avail_transitions.inc();
-                }
-                self.last_available = Some(available);
-                swarm_obs::emit(
-                    "bt.availability",
-                    &[
-                        ("run", swarm_obs::val(self.run_ord)),
-                        ("tick", swarm_obs::val(tick)),
-                        ("available", swarm_obs::val(available)),
-                        ("covered", swarm_obs::val(peer_coverage as u64)),
-                        (
-                            "min_replication",
-                            swarm_obs::val(self.rep.min_replication() as u64),
-                        ),
-                    ],
-                );
-            }
-        }
-        if available {
-            // The availability fraction is defined over the arrival
-            // window; drain ticks keep the latch for last_available_tick
-            // but do not inflate the fraction.
-            if tick < self.cfg.horizon {
-                self.available_ticks += 1;
-            }
-            self.result.last_available_tick = Some(tick);
-        }
-    }
-
     /// From-scratch recount cross-check of the incremental index, the
     /// `online_ids` list and the per-peer allocations (debug builds only,
     /// every 60 ticks): every debug-mode engine run doubles as an
@@ -2088,11 +2004,8 @@ impl<'c> BtEngine<'c> {
         // Flush the trailing partial window and fold this run's series
         // into the process-global "bt" series (merging is additive, so
         // concurrent replications cannot perturb the drained result).
-        if let Some(mut ts) = self.ts.take() {
-            if ts.win_ticks > 0 {
-                ts.flush_window();
-            }
-            swarm_obs::merge_series_owned("bt", ts.rec);
+        if let Some(ts) = self.ts.take() {
+            swarm_obs::merge_series_owned("bt", ts.finish());
         }
         self.result
     }
@@ -2402,6 +2315,54 @@ mod tests {
                 max_flash_departures(&curve),
                 max_flash_per_tick(&curve, run_ticks)
             );
+        }
+
+        #[test]
+        fn ts_add_ticks_ignores_how_a_range_is_split(
+            // Per span: length kind, short length, bytes, blocked
+            // leechers, availability credit, arrivals at its first tick.
+            spans in prop::collection::vec(
+                (
+                    prop::sample::select(vec![0usize, 0, 1, 1, 2, 2, 2, 3]),
+                    1u64..200,
+                    0u64..1_000,
+                    0u64..6,
+                    prop::bool::ANY,
+                    0u64..3,
+                ),
+                1..24,
+            ),
+        ) {
+            // The engine accounts a dense tick as a one-tick span and a
+            // fast-forward jump as one long span; the series must not
+            // tell them apart. Account a range span by span, and again
+            // one tick at a time, and compare the serialized series.
+            let mut split = TsAcc::new();
+            let mut dense = TsAcc::new();
+            let mut t = 0;
+            for (kind, short, bytes, blocked, available, arrivals) in spans {
+                let len = match kind {
+                    0 => 1,
+                    // Land exactly on the next window boundary.
+                    1 => TS_WINDOW - t % TS_WINDOW,
+                    2 => short,
+                    // Outgrow the recorder's capacity, so the stride
+                    // doubles.
+                    _ => TS_CAPACITY as u64 * TS_WINDOW + short * 61,
+                };
+                split.win_arrivals += arrivals;
+                dense.win_arrivals += arrivals;
+                split.add_ticks(t, t + len, bytes, blocked, available);
+                for tick in t..t + len {
+                    dense.add_ticks(tick, tick + 1, bytes, blocked, available);
+                }
+                t += len;
+            }
+            let jsonl = |ts: TsAcc| {
+                let series = std::collections::BTreeMap::from([("bt".to_string(), ts.finish())]);
+                swarm_obs::series_to_jsonl(&series)
+            };
+            prop_assert_eq!(jsonl(split), jsonl(dense));
         }
 
         #[test]
