@@ -792,7 +792,7 @@ impl<'c> BtEngine<'c> {
                 }
             }
         }
-        self.finalize()
+        self.finalize(tick)
     }
 
     /// One dense tick: every per-tick phase, in the order the engine has
@@ -1967,10 +1967,12 @@ impl<'c> BtEngine<'c> {
         }
     }
 
-    fn finalize(mut self) -> BtResult {
+    /// Close the run at `end`, the first tick not executed: the drain
+    /// break, or `horizon + drain_ticks`.
+    fn finalize(mut self, end: u64) -> BtResult {
         let horizon = self.cfg.horizon;
         if let Some(since) = self.publisher_online_since.take() {
-            self.result.publisher_intervals.push((since, horizon));
+            self.result.publisher_intervals.push((since, end));
         }
         self.result.availability = self.available_ticks as f64 / horizon as f64;
         self.result.in_flight_at_horizon = (1..self.peers.len())
@@ -2117,6 +2119,32 @@ mod tests {
         let a = serde_json::to_string(&run(&dense)).expect("serialize");
         let b = serde_json::to_string(&run(&cfg)).expect("serialize");
         assert_eq!(a, b, "fast-forward must not change the golden trace");
+    }
+
+    #[test]
+    fn publisher_intervals_are_ordered_and_end_with_the_run() {
+        // §4.3's intermittent publisher often returns during the drain;
+        // an interval still open when the run stops must end at the tick
+        // it stopped, not at the horizon before it began.
+        for k in [1, 2, 4] {
+            for seed in 0..20 {
+                let cfg = BtConfig::paper_section_4_3(k, seed);
+                let end = cfg.horizon + cfg.drain_ticks;
+                let intervals = run(&cfg).publisher_intervals;
+                for &(start, stop) in &intervals {
+                    assert!(
+                        start <= stop && stop <= end,
+                        "k{k} seed {seed}: [{start}, {stop}) outside [0, {end})"
+                    );
+                }
+                for pair in intervals.windows(2) {
+                    assert!(
+                        pair[0].1 <= pair[1].0,
+                        "k{k} seed {seed}: {pair:?} not ascending and disjoint"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -36,7 +36,10 @@ pub struct BtResult {
     pub last_available_tick: Option<u64>,
     /// Per-peer spans for timeline rendering.
     pub spans: Vec<PeerSpan>,
-    /// Publisher online intervals `(start, end)` in ticks.
+    /// Publisher online intervals as half-open tick ranges `[start, end)`,
+    /// ascending and disjoint. An interval still open when the run stops
+    /// ends at the first tick not executed: the drain break, or
+    /// `horizon + drain_ticks`.
     pub publisher_intervals: Vec<(u64, u64)>,
     /// Largest number of completions within any 5-tick window — the
     /// "flash departure" signature of Figure 5(a): blocked peers all

@@ -239,17 +239,20 @@ fn mix() -> Vec<(String, BtConfig)> {
 }
 
 /// Digests generated from the engine as of this test's introduction.
+/// Ten were re-pinned when a publisher interval still open at the end of
+/// a run began closing at the tick the run stopped instead of at the
+/// horizon; those results differ only in `publisher_intervals`.
 const PINNED: &[(&str, u64)] = &[
     ("4.2 k1", 0xfdcabb78c7fe1cbb),
-    ("4.3 k1", 0x2c0416be7ef5cf03),
+    ("4.3 k1", 0x06ec5f0ccfe3d6cd),
     ("4.2 k2", 0xe4778c6ffc1fcd59),
-    ("4.3 k2", 0x48c1786cd0c9702a),
+    ("4.3 k2", 0xed273e79e68897be),
     ("4.2 k4", 0xf5dc44fd8b613ace),
     ("4.3 k4", 0x55e36afc93e15e30),
     ("4.2 k8", 0xa0c835dd5f3a9a73),
-    ("4.3 k8", 0x98e368477b96bda7),
+    ("4.3 k8", 0xc97008b69386f8b0),
     ("4.2 k16", 0x449bc8b8a6852f0f),
-    ("4.3 k16", 0xec44848ff216e4bf),
+    ("4.3 k16", 0x62ff3d9964bf2853),
     ("4.2 k32", 0x23e6d2aea6e86945),
     ("4.3 k32", 0x647eb114cddc77b3),
     ("bt-busy 4.3 k16", 0x67fcfd077ee37458),
@@ -261,19 +264,19 @@ const PINNED: &[(&str, u64)] = &[
     ("seedless Random", 0x688bcc034cec6c65),
     ("on/off Random", 0x80b80d944a57578a),
     ("seedless InOrder", 0x2193bbcf31102c53),
-    ("on/off InOrder", 0x4b5c51ad0b494630),
+    ("on/off InOrder", 0x47695f5a5fe9a20a),
     ("linger on/off timeline", 0x1775ddd5dfb4d71d),
     ("linger seedless", 0xe4c067eb741154e3),
-    ("linger always-on k8", 0xd12a65ed27c85cd4),
-    ("linger on/off k16", 0x57ee8b77ab2c98bc),
+    ("linger always-on k8", 0x5ee3a0d456d0053f),
+    ("linger on/off k16", 0x230a005923b45677),
     ("periodic scripted", 0x563652a7e7baff32),
-    ("periodic stochastic linger", 0xb87fac716eca196a),
-    ("bittyrant capped k1", 0xf7faa988f5ef74f2),
+    ("periodic stochastic linger", 0xe0db741c23fbc4f3),
+    ("bittyrant capped k1", 0x90185ecbe0349318),
     ("bittyrant capped k3", 0x8204c7380c6875e6),
     ("bittyrant capped k8", 0x7a90e1a3f9614bd8),
     ("bittyrant capped k16", 0xfe7f7721cafaf9a4),
     ("timeline seedless k8", 0x9b112ad2895f18b3),
-    ("timeline always-on k1", 0x03e3f76e89e4576f),
+    ("timeline always-on k1", 0xca96fea6e51e1de8),
     ("dense on/off k1", 0xb9f88a49971e1f82),
     ("dense on/off k4", 0x67917d056d501d02),
     ("dense on/off k16", 0xf97f1f1c71e8be96),
