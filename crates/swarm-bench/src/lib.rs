@@ -10,7 +10,7 @@
 //! | `table-books` | §2.3.2 — books vs collections |
 //! | `table-friends` | §2.3.2 — the "Friends" case study |
 //! | `fig2` | Figure 2 — busy/idle timeline |
-//! | `fig3` | Figure 3 — E[T] vs K over publisher scarcity |
+//! | `fig3` | Figure 3 — E\[T\] vs K over publisher scarcity |
 //! | `fig4` | Figure 4 — seedless swarms |
 //! | `table-bm` | §4.2 — B(m) values |
 //! | `fig5` | Figure 5 — arrival/departure timelines |

@@ -14,7 +14,7 @@
 //! pick pieces by strict priority (finish partial pieces first) then
 //! rarest-first by global replication count.
 //!
-//! Piece replication is tracked *incrementally* by [`ReplicationIndex`]:
+//! Piece replication is tracked *incrementally* by `ReplicationIndex`:
 //! instead of recomputing a bitfield union (plus, under timelines, an
 //! O(peers × pieces) holder scan) every tick, the engine updates per-piece
 //! holder counts on the only events that change them — piece completions

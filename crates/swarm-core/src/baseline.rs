@@ -1,6 +1,6 @@
 //! The naive fluid-model baseline (Qiu–Srikant style).
 //!
-//! Related Work: "A naive adaptation of the fluid model in [17] to bundles
+//! Related Work: "A naive adaptation of the fluid model in \[17\] to bundles
 //! suggests strictly longer download times under bundling, whereas our
 //! model shows that bundling can decrease download times by improving
 //! availability."

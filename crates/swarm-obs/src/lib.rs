@@ -13,7 +13,7 @@
 //! * [`lifecycle`] — typed wire-lifecycle events ([`ConnEvent`],
 //!   [`ReqEvent`], [`XferEvent`]): the shared emit/parse schema between
 //!   `swarm-net`'s probes and `swarm-trace`'s net analyzer.
-//! * [`span`] — RAII span timers with nesting (parent/child ids) that
+//! * [`span`](mod@span) — RAII span timers with nesting (parent/child ids) that
 //!   feed both a `span.<name>` histogram and the event sink.
 //! * [`sink`] — a structured-event flight recorder: a bounded in-memory
 //!   ring of events, drained per job label or whole-run, serialized as

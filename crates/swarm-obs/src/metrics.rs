@@ -11,7 +11,7 @@
 //!
 //! `<crate>.<subsystem>.<metric>`, e.g. `bt.pieces.covered`,
 //! `stats.budget.lease_wait_ns`, `lab.cache.hit`. Span histograms are
-//! registered by [`crate::span`] under `span.<name>`. Units go in the
+//! registered by [`crate::span()`] under `span.<name>`. Units go in the
 //! name suffix (`_ns`, `_ms`, `_bytes`) — there is no unit metadata.
 
 use serde::{Deserialize, Serialize};

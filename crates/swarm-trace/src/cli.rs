@@ -75,7 +75,7 @@ I/O errors or when the run carried no net telemetry at all.
                    (default <TELEMETRY_DIR>/net_stacks.folded)
 ";
 
-/// `repro trace` — see [`TRACE_USAGE`].
+/// `repro trace` — see `TRACE_USAGE`.
 pub fn trace_main(args: &[String]) -> i32 {
     let mut dir: Option<PathBuf> = None;
     let mut flame_path: Option<PathBuf> = None;
@@ -226,7 +226,7 @@ pub fn trace_main(args: &[String]) -> i32 {
     0
 }
 
-/// `repro net-report` — see [`NET_REPORT_USAGE`].
+/// `repro net-report` — see `NET_REPORT_USAGE`.
 pub fn net_report_main(args: &[String]) -> i32 {
     let mut dir: Option<PathBuf> = None;
     let mut swimlane_path: Option<PathBuf> = None;
@@ -428,7 +428,7 @@ fn seconds(s: f64) -> String {
     }
 }
 
-/// `repro diff` — see [`DIFF_USAGE`].
+/// `repro diff` — see `DIFF_USAGE`.
 pub fn diff_main(args: &[String]) -> i32 {
     let mut positional: Vec<PathBuf> = Vec::new();
     let mut thresholds = Thresholds::default();

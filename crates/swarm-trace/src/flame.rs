@@ -1,6 +1,6 @@
 //! Fold `"span"` events into collapsed-stack profiles.
 //!
-//! Every [`swarm_obs::span`] guard emits, at drop, a `"span"` event
+//! Every [`swarm_obs::span()`] guard emits, at drop, a `"span"` event
 //! carrying `{name, id, parent, dur_us}` (`parent` is the enclosing
 //! span on the same thread, 0 at top level). Reconstructing the call
 //! tree from those ids and charging each frame its *self* time (own

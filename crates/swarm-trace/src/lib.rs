@@ -1,6 +1,6 @@
 //! Offline analysis of `swarm-obs` telemetry.
 //!
-//! The orchestrator ([`swarm-lab`]) writes one `telemetry.jsonl` per
+//! The orchestrator (`swarm-lab`) writes one `telemetry.jsonl` per
 //! job plus run-level `metrics.json` summaries; this crate turns those
 //! artifacts back into answers:
 //!

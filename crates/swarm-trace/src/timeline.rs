@@ -311,7 +311,7 @@ pub struct ModelCheck {
     pub model_unavailability: f64,
     /// Fraction of the window the trace was unavailable.
     pub trace_unavailability: f64,
-    /// `swarm_core::patient::busy_period` — the predicted E[B] (s).
+    /// `swarm_core::patient::busy_period` — the predicted E\[B\] (s).
     pub model_busy_period: f64,
     /// Mean completed available period in the trace (ticks = s), when
     /// any busy period completed inside the window.
