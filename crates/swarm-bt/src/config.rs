@@ -112,11 +112,12 @@ pub struct BtConfig {
     pub seed: u64,
     /// Record per-entity timeline segments (Figure 5).
     pub record_timeline: bool,
-    /// Debugging escape hatch: execute every tick densely instead of
-    /// fast-forwarding across provably quiescent spans. The fast-forward
-    /// path is bit-for-bit equivalent to the dense loop (same RNG stream,
-    /// same `BtResult`, same telemetry counters), so this should only
-    /// matter when bisecting a suspected fast-forward bug.
+    /// Execute every tick densely instead of fast-forwarding across
+    /// provably quiescent spans. The two are bit-for-bit equivalent (same
+    /// RNG stream, same `BtResult`, same telemetry), which makes the dense
+    /// loop the reference: the dense-vs-fast-forward equivalence suites,
+    /// swarmbench's `bt-idle` output check and the `bt_idle` benchmark
+    /// all run it beside the default.
     #[serde(default)]
     pub disable_fast_forward: bool,
     /// Scripted arrival schedule: explicit `(tick, upload_capacity)`

@@ -403,10 +403,10 @@ fn set_publisher(ep: &Arc<Mutex<Endpoint>>, cfg: &BtConfig, tick: u64) {
     core.set_online(publisher_online_at(&cfg.publisher, tick));
 }
 
-/// Coordinator-side aggregation: the live twin of the sim's
-/// `availability_check` + completion accounting. Runs strictly between
-/// rounds and iterates endpoints in id order, so it is identical across
-/// host modes by construction.
+/// Coordinator-side aggregation: the live twin of the sim's per-tick
+/// `account` (availability credit and transitions) + completion
+/// accounting. Runs strictly between rounds and iterates endpoints in id
+/// order, so it is identical across host modes by construction.
 struct Aggregator {
     horizon: u64,
     warmup: u64,
