@@ -35,19 +35,22 @@ const SWEEP: usize = 40;
 /// A `bt.*` event with its run ordinal removed.
 type Payload = (String, Vec<(String, serde_json::Value)>);
 
-/// Everything deterministic one run publishes.
+/// Everything deterministic one run publishes, and its fast-forward
+/// counters.
 struct Observed {
     result: String,
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, i64>,
     series: String,
     events: Vec<Payload>,
+    ticks_elided: u64,
+    jumps: u64,
 }
 
 /// Run `cfg` under telemetry inside job scope `job` and collect what it
 /// published. Every `bt.*` gauge is first set to a sentinel, so a gauge
 /// one run never writes cannot inherit the previous run's value.
-fn observe(job: &str, cfg: &BtConfig) -> (Observed, u64, u64) {
+fn observe(job: &str, cfg: &BtConfig) -> Observed {
     for name in swarm_obs::snapshot().gauges.keys() {
         if name.starts_with("bt.") {
             swarm_obs::gauge(name).set(i64::MIN);
@@ -72,7 +75,7 @@ fn observe(job: &str, cfg: &BtConfig) -> (Observed, u64, u64) {
             (e.kind, fields)
         })
         .collect();
-    let observed = Observed {
+    Observed {
         result: serde_json::to_string(&result).expect("serialize"),
         counters: delta
             .counters
@@ -87,10 +90,9 @@ fn observe(job: &str, cfg: &BtConfig) -> (Observed, u64, u64) {
             .collect(),
         series,
         events,
-    };
-    let elided = delta.counter("bt.ticks_elided");
-    let jumps = delta.counter("bt.fastforward.jumps");
-    (observed, elided, jumps)
+        ticks_elided: delta.counter("bt.ticks_elided"),
+        jumps: delta.counter("bt.fastforward.jumps"),
+    }
 }
 
 #[test]
@@ -112,13 +114,15 @@ fn telemetry_matches_dense_on_every_config() {
     let dropped_before = swarm_obs::dropped_events();
     let mut total_elided = 0;
     for (label, cfg) in &configs {
-        let (dense, dense_elided, dense_jumps) =
-            observe(&format!("{label} dense"), &common::dense(cfg));
-        let (elided, elided_ticks, jumps) = observe(&format!("{label} elided"), cfg);
-        assert_eq!(dense_elided, 0, "{label}: the dense loop elided ticks");
-        assert_eq!(dense_jumps, 0, "{label}: the dense loop jumped");
+        let dense = observe(&format!("{label} dense"), &common::dense(cfg));
+        let elided = observe(&format!("{label} elided"), cfg);
+        assert_eq!(
+            dense.ticks_elided, 0,
+            "{label}: the dense loop elided ticks"
+        );
+        assert_eq!(dense.jumps, 0, "{label}: the dense loop jumped");
         assert!(
-            dense.counters.get("bt.ticks").copied().unwrap_or(0) > elided_ticks,
+            dense.counters.get("bt.ticks").copied().unwrap_or(0) > elided.ticks_elided,
             "{label}: cannot elide every tick of the run"
         );
         assert!(!dense.series.is_empty(), "{label}: no series recorded");
@@ -142,11 +146,11 @@ fn telemetry_matches_dense_on_every_config() {
             assert_eq!(d, e, "{label}: event payloads diverged");
         }
         assert_eq!(
-            jumps > 0,
-            elided_ticks > 0,
+            elided.jumps > 0,
+            elided.ticks_elided > 0,
             "{label}: jumps vs elided ticks"
         );
-        total_elided += elided_ticks;
+        total_elided += elided.ticks_elided;
     }
     swarm_obs::set_enabled(false);
     assert_eq!(
