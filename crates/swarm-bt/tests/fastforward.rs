@@ -19,12 +19,8 @@ use swarm_bt::{run, BtConfig};
 
 /// Run `cfg` both densely and with fast-forward, serialized.
 fn both(cfg: &BtConfig) -> (String, String) {
-    let elided_cfg = BtConfig {
-        disable_fast_forward: false,
-        ..cfg.clone()
-    };
     let dense = serde_json::to_string(&run(&common::dense(cfg))).expect("serialize dense");
-    let elided = serde_json::to_string(&run(&elided_cfg)).expect("serialize elided");
+    let elided = serde_json::to_string(&run(cfg)).expect("serialize elided");
     (dense, elided)
 }
 
