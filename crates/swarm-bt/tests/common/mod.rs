@@ -6,16 +6,29 @@
 use proptest::prelude::*;
 use swarm_bt::{BtConfig, BtPublisher, PieceSelection};
 
+/// Whether the fast-forward must engage on a fixed config.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Elision {
+    /// The config is idle-heavy, or was written for a wake rule: the run
+    /// must elide ticks, or its dense-vs-elided comparison tests nothing.
+    Required,
+    /// The config pins something else; the fast-forward may or may not
+    /// engage.
+    Optional,
+}
+
 /// Fixed configs pinning the regimes the paper cares about (K ∈ {1, 4,
 /// 16}, intermittent and seedless publishers, lingering seeds) plus the
-/// wake rules no random sweep reliably reaches, labelled.
-pub fn fixed_configs() -> Vec<(&'static str, BtConfig)> {
+/// wake rules no random sweep reliably reaches, labelled and marked with
+/// whether the fast-forward must engage.
+pub fn fixed_configs() -> Vec<(&'static str, Elision, BtConfig)> {
     let base = BtConfig::paper_section_4_3(1, 0);
     vec![
         // §4.3's headline point: K=1, publisher on 300 s / off 900 s. Long
         // blocked spans during off-periods are exactly what gets elided.
         (
             "k1 on/off",
+            Elision::Required,
             BtConfig {
                 record_timeline: true,
                 ..BtConfig::paper_section_4_3(1, 42)
@@ -23,6 +36,7 @@ pub fn fixed_configs() -> Vec<(&'static str, BtConfig)> {
         ),
         (
             "k4 on/off",
+            Elision::Optional,
             BtConfig {
                 horizon: 600,
                 drain_ticks: 900,
@@ -33,6 +47,7 @@ pub fn fixed_configs() -> Vec<(&'static str, BtConfig)> {
         // dense reference cheap in debug builds.
         (
             "k16 on/off",
+            Elision::Optional,
             BtConfig {
                 horizon: 300,
                 drain_ticks: 300,
@@ -44,6 +59,7 @@ pub fn fixed_configs() -> Vec<(&'static str, BtConfig)> {
         // horizon. Nearly every tick is elidable.
         (
             "k1 highly unavailable",
+            Elision::Required,
             BtConfig {
                 arrival_rate: 1.0 / 300.0,
                 publisher: BtPublisher::OnOff {
@@ -61,6 +77,7 @@ pub fn fixed_configs() -> Vec<(&'static str, BtConfig)> {
         // wakes and peer-sustained availability all in play.
         (
             "idle-heavy lingering",
+            Elision::Required,
             BtConfig {
                 arrival_rate: 1.0 / 120.0,
                 publisher: BtPublisher::OnOff {
@@ -76,13 +93,22 @@ pub fn fixed_configs() -> Vec<(&'static str, BtConfig)> {
         ),
         // §4.2: the publisher leaves at the first completion. K=1 dies and
         // drains; K=8 self-sustains for a while.
-        ("seedless k1", BtConfig::paper_section_4_2(1, 13)),
-        ("seedless k8", BtConfig::paper_section_4_2(8, 13)),
+        (
+            "seedless k1",
+            Elision::Required,
+            BtConfig::paper_section_4_2(1, 13),
+        ),
+        (
+            "seedless k8",
+            Elision::Optional,
+            BtConfig::paper_section_4_2(8, 13),
+        ),
         // Control: a busy, always-available swarm should round-trip too
         // (fast-forward rarely engages, but must stay invisible when it
         // does, e.g. before the first arrival).
         (
             "always-on",
+            Elision::Optional,
             BtConfig {
                 publisher: BtPublisher::AlwaysOn,
                 horizon: 600,
@@ -94,6 +120,7 @@ pub fn fixed_configs() -> Vec<(&'static str, BtConfig)> {
         // peer-sustained availability path (covered == num_pieces).
         (
             "lingering seeds",
+            Elision::Required,
             BtConfig {
                 linger_mean: Some(120.0),
                 horizon: 600,
@@ -106,6 +133,7 @@ pub fn fixed_configs() -> Vec<(&'static str, BtConfig)> {
         // 30-tick gossip cadence; jumps stretch to the next arrival/toggle.
         (
             "pex disabled",
+            Elision::Required,
             BtConfig {
                 pex_interval: 0,
                 horizon: 2_000,
@@ -116,6 +144,7 @@ pub fn fixed_configs() -> Vec<(&'static str, BtConfig)> {
         // Cover the other RNG-consuming piece-selection paths.
         (
             "super-seed + random selection",
+            Elision::Optional,
             BtConfig {
                 super_seed: true,
                 piece_selection: PieceSelection::Random,
@@ -131,6 +160,7 @@ pub fn fixed_configs() -> Vec<(&'static str, BtConfig)> {
         // the fast-forward that the next PEX boundary has partners again.
         (
             "publisher return over old edges",
+            Elision::Required,
             BtConfig {
                 horizon: 1_500,
                 drain_ticks: 0,

@@ -26,7 +26,7 @@ fn both(cfg: &BtConfig) -> (String, String) {
 
 #[test]
 fn fixed_configs_are_equivalent() {
-    for (label, cfg) in common::fixed_configs() {
+    for (label, _, cfg) in common::fixed_configs() {
         let (dense, elided) = both(&cfg);
         assert_eq!(
             dense, elided,

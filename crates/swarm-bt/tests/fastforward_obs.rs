@@ -14,12 +14,17 @@
 //! - the payload of every `bt.*` event, in order, with the process-wide
 //!   run ordinal removed.
 //!
+//! The fixed configs marked `Elision::Required` must also actually
+//! elide ticks and jump, so their comparison cannot pass vacuously; the
+//! sweep as a whole must elide ticks too.
+//!
 //! Own test binary: it owns the process-global `swarm-obs` state
 //! (enable switch, metric registry, flight recorder, series registry),
 //! which must not race with other tests' runs.
 
 mod common;
 
+use common::Elision;
 use proptest::prelude::*;
 use proptest::TestRng;
 use std::collections::BTreeMap;
@@ -99,21 +104,21 @@ fn observe(job: &str, cfg: &BtConfig) -> Observed {
 fn telemetry_matches_dense_on_every_config() {
     let mut configs = common::fixed_configs()
         .into_iter()
-        .map(|(label, cfg)| (label.to_string(), cfg))
+        .map(|(label, elision, cfg)| (label.to_string(), elision, cfg))
         .collect::<Vec<_>>();
     let strategy = common::random_config();
     let mut rng = TestRng::new(0x5eed_fa57);
     for i in 0..SWEEP {
         let mut cfg = strategy.generate(&mut rng);
         cfg.record_timeline = i % 2 == 0;
-        configs.push((format!("sweep {i}"), cfg));
+        configs.push((format!("sweep {i}"), Elision::Optional, cfg));
     }
 
     swarm_obs::set_enabled(true);
     swarm_obs::set_ring_capacity(1 << 20);
     let dropped_before = swarm_obs::dropped_events();
     let mut total_elided = 0;
-    for (label, cfg) in &configs {
+    for (label, elision, cfg) in &configs {
         let dense = observe(&format!("{label} dense"), &common::dense(cfg));
         let elided = observe(&format!("{label} elided"), cfg);
         assert_eq!(
@@ -150,6 +155,10 @@ fn telemetry_matches_dense_on_every_config() {
             elided.ticks_elided > 0,
             "{label}: jumps vs elided ticks"
         );
+        if *elision == Elision::Required {
+            assert!(elided.ticks_elided > 0, "{label}: must elide ticks");
+            assert!(elided.jumps > 0, "{label}: must take jumps");
+        }
         total_elided += elided.ticks_elided;
     }
     swarm_obs::set_enabled(false);
