@@ -963,9 +963,16 @@ impl<'c> BtEngine<'c> {
         }
         std::mem::swap(&mut self.unchoke_pairs_prev, &mut cur);
         self.unchoke_pairs_cur = cur;
+        self.note_rechokes(1, fresh);
+    }
+
+    /// The one writer of the rechoke probes: `count` rechokes that
+    /// unchoked `churn` pairs absent from the table before them, leaving
+    /// the current table in force.
+    fn note_rechokes(&self, count: u64, churn: u64) {
         if let Some(p) = &self.probes {
-            p.rechokes.inc();
-            p.unchoke_churn.add(fresh);
+            p.rechokes.add(count);
+            p.unchoke_churn.add(churn);
             p.unchoke_pairs.set(self.unchoke_pairs_prev.len() as i64);
         }
     }
@@ -1056,9 +1063,9 @@ impl<'c> BtEngine<'c> {
     /// Jump the clock across the provably quiescent span `[from, to)`:
     /// nothing moves, so the span is accounted like any tick with no
     /// bytes and no receivers. What is specific to jumping stays here:
-    /// the fast-forward counters, and the counter effect of the rechoke
-    /// boundaries crossed — metrics-only no-ops, since rechoke is quiet
-    /// (it rebuilds the same empty table, so churn is zero) or the wake
+    /// the fast-forward counters, and the rechoke boundaries crossed.
+    /// Those rechokes are metrics-only no-ops: rechoke is quiet, so each
+    /// rebuilds the table in force and unchokes no new pair, or the wake
     /// was capped before the first boundary.
     fn fast_forward(&mut self, from: u64, to: u64) {
         self.account(from, to, 0.0, 0);
@@ -1067,8 +1074,7 @@ impl<'c> BtEngine<'c> {
         p.ff_jumps.inc();
         let rechokes = count_multiples(from, to, self.cfg.rechoke_interval);
         if rechokes > 0 {
-            p.rechokes.add(rechokes);
-            p.unchoke_pairs.set(0);
+            self.note_rechokes(rechokes, 0);
         }
     }
 
