@@ -106,7 +106,7 @@ mod tests {
 
     #[test]
     fn report_saves_files() {
-        let dir = std::env::temp_dir().join("swarmsys-report-test");
+        let dir = std::env::temp_dir().join(format!("swarmsys-report-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mut r = Report::new("demo", "demo");
         r.set_data(serde_json::json!({"k": 1}));

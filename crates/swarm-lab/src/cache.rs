@@ -161,7 +161,7 @@ mod tests {
 
     #[test]
     fn store_then_load_round_trips() {
-        let dir = std::env::temp_dir().join("swarm-lab-cache-test");
+        let dir = std::env::temp_dir().join(format!("swarm-lab-cache-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cache = ResultCache::new(&dir);
         let key = CacheKey {

@@ -242,7 +242,8 @@ mod tests {
 
     #[test]
     fn manifest_round_trips_through_disk() {
-        let dir = std::env::temp_dir().join("swarm-lab-manifest-test");
+        let dir =
+            std::env::temp_dir().join(format!("swarm-lab-manifest-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let path = dir.join("manifest.json");
         let m = sample();

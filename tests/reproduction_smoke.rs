@@ -49,7 +49,7 @@ fn experiment_registry_is_complete_and_unique() {
 
 #[test]
 fn reports_save_to_disk() {
-    let dir = std::env::temp_dir().join("swarmsys-repro-smoke");
+    let dir = std::env::temp_dir().join(format!("swarmsys-repro-smoke-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let r = run_experiment("table-bm", true).expect("dispatch");
     r.save(&dir).expect("save");
