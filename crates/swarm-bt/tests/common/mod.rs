@@ -7,7 +7,6 @@ use proptest::prelude::*;
 use swarm_bt::{BtConfig, BtPublisher, PieceSelection};
 
 /// Whether the fast-forward must engage on a fixed config.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Elision {
     /// The config is idle-heavy, or was written for a wake rule: the run
     /// must elide ticks, or its dense-vs-elided comparison tests nothing.

@@ -155,7 +155,7 @@ fn telemetry_matches_dense_on_every_config() {
             elided.ticks_elided > 0,
             "{label}: jumps vs elided ticks"
         );
-        if *elision == Elision::Required {
+        if matches!(elision, Elision::Required) {
             assert!(elided.ticks_elided > 0, "{label}: must elide ticks");
             assert!(elided.jumps > 0, "{label}: must take jumps");
         }
