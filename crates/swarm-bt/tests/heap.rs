@@ -100,6 +100,24 @@ fn sequential(n: u64) -> BtConfig {
     }
 }
 
+/// `n` scripted leechers of a K-file bundle arriving 3 ticks apart at a
+/// publisher that seeds 200 ticks and never returns: at K=4 and up it
+/// injects too few pieces for anyone to finish, so every leecher sits
+/// blocked on its partial pieces until the 3,000-tick horizon.
+fn blocked(k: u32, n: u64) -> BtConfig {
+    BtConfig {
+        publisher: BtPublisher::Periodic {
+            on_ticks: 200,
+            off_ticks: 1 << 40,
+            initially_on: true,
+        },
+        horizon: 3_000,
+        drain_ticks: 0,
+        scripted_arrivals: Some((0..n).map(|i| (i * 3, 50.0)).collect()),
+        ..BtConfig::paper_section_4_3(k, 1)
+    }
+}
+
 #[test]
 fn heap_follows_live_downloaders_not_horizon_or_history() {
     // An idle horizon costs nothing: 100x more ticks of a blocked swarm
@@ -111,10 +129,11 @@ fn heap_follows_live_downloaders_not_horizon_or_history() {
         "peak heap grew with the horizon: {short} B at 10^4 ticks, {long} B at 10^6"
     );
 
-    // A peer that completed and left holds no progress row, neighbor
-    // list or connection list. The run lengths put every per-peer vector
-    // in the same capacity class (9 → 16 rows, 73 → 128), so the slope
-    // compares like with like.
+    // A peer that completed and left holds no open-partial, neighbor or
+    // connection list: it costs less than a dense progress row would.
+    // The run lengths put every per-peer vector in the same capacity
+    // class (9 → 16 rows, 73 → 128), so the slope compares like with
+    // like.
     let (few, many) = (8u64, 72u64);
     let cfg_few = sequential(few);
     let cfg_many = sequential(many);
@@ -125,6 +144,26 @@ fn heap_follows_live_downloaders_not_horizon_or_history() {
     let progress_row = cfg_many.num_pieces() * std::mem::size_of::<f64>();
     assert!(
         per_peer < progress_row,
-        "each departed peer still costs {per_peer} B, at least a {progress_row} B progress row"
+        "each departed peer still costs {per_peer} B, at least a {progress_row} B dense progress row"
+    );
+
+    // A blocked downloader holds its open partials, not a row of every
+    // piece: from K=4 (64 pieces) to K=32 (512), the heap of each extra
+    // blocked leecher may grow by less than half of the 3,584 B by which
+    // their dense progress rows differ. The populations of 30 and 60 put
+    // the per-peer vectors in the same capacity classes at both K.
+    let per_blocked = |k: u32| {
+        let (few, many) = (30u64, 60u64);
+        let done = run(&blocked(k, many));
+        assert_eq!(done.completions, 0, "K={k}: nobody completes");
+        (call_heap(&blocked(k, many)) - call_heap(&blocked(k, few))) / (many - few) as usize
+    };
+    let (small, large) = (per_blocked(4), per_blocked(32));
+    let row_gap =
+        (blocked(32, 0).num_pieces() - blocked(4, 0).num_pieces()) * std::mem::size_of::<f64>();
+    assert!(
+        large < small + row_gap / 2,
+        "each blocked leecher costs {large} B at K=32 but {small} B at K=4, \
+         at least half the {row_gap} B gap between dense progress rows"
     );
 }
