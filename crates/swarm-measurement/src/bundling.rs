@@ -36,9 +36,20 @@ pub fn is_bundle(swarm: &Swarm) -> bool {
     content_file_count(swarm) >= 2
 }
 
-/// §2.3.1 rule for books: torrents with "collection" in the title.
+/// §2.3.1 rule for books: torrents with "collection" in the title, in
+/// any letter case.
 pub fn is_collection(swarm: &Swarm) -> bool {
-    swarm.category == Category::Books && swarm.title.to_lowercase().contains("collection")
+    // Same answer as `to_lowercase().contains("collection")` on every
+    // title, without allocating: the only non-ASCII characters that
+    // lowercase to ASCII are the Kelvin sign (to `k`, not in the keyword)
+    // and `İ` (to `i` and a combining dot, where the keyword needs `o`).
+    const KEYWORD: &[u8] = b"collection";
+    swarm.category == Category::Books
+        && swarm
+            .title
+            .as_bytes()
+            .windows(KEYWORD.len())
+            .any(|w| w.eq_ignore_ascii_case(KEYWORD))
 }
 
 /// Per-category bundling-extent statistics (the §2.3.1 table).
@@ -81,19 +92,18 @@ pub fn bundling_extent(swarms: &[Swarm], cat: Category) -> BundlingExtent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::catalog::{generate_catalog, CatalogConfig, FileEntry};
+    use crate::catalog::{extensions, generate_catalog, CatalogConfig, Extension, FileEntry};
+    use Extension::*;
 
-    fn swarm_with(cat: Category, exts: &[&str], title: &str) -> Swarm {
+    fn swarm_with(cat: Category, exts: &[Extension], title: &str) -> Swarm {
         Swarm {
             id: 0,
             category: cat,
             title: title.to_string(),
             files: exts
                 .iter()
-                .enumerate()
-                .map(|(i, e)| FileEntry {
-                    name: format!("f{i}.{e}"),
-                    extension: e.to_string(),
+                .map(|&extension| FileEntry {
+                    extension,
                     size_kb: 1000.0,
                 })
                 .collect(),
@@ -109,17 +119,13 @@ mod tests {
 
     #[test]
     fn two_mp3s_make_a_music_bundle() {
-        assert!(is_bundle(&swarm_with(
-            Category::Music,
-            &["mp3", "mp3"],
-            "x"
-        )));
-        assert!(!is_bundle(&swarm_with(Category::Music, &["mp3"], "x")));
+        assert!(is_bundle(&swarm_with(Category::Music, &[Mp3, Mp3], "x")));
+        assert!(!is_bundle(&swarm_with(Category::Music, &[Mp3], "x")));
     }
 
     #[test]
     fn decoys_do_not_count() {
-        let s = swarm_with(Category::Music, &["mp3", "nfo", "jpg", "txt"], "x");
+        let s = swarm_with(Category::Music, &[Mp3, Nfo, Jpg, Txt], "x");
         assert!(!is_bundle(&s));
         assert_eq!(content_file_count(&s), 1);
     }
@@ -127,7 +133,7 @@ mod tests {
     #[test]
     fn movies_never_classified() {
         // The paper skips movie bundles (DVD file sets are ambiguous).
-        let s = swarm_with(Category::Movies, &["avi", "avi", "avi"], "x");
+        let s = swarm_with(Category::Movies, &[Avi, Avi, Avi], "x");
         assert!(!is_bundle(&s));
     }
 
@@ -135,20 +141,51 @@ mod tests {
     fn collection_keyword_detection() {
         assert!(is_collection(&swarm_with(
             Category::Books,
-            &["pdf"],
+            &[Pdf],
             "Ultimate Math Collection (1)"
         )));
         assert!(!is_collection(&swarm_with(
             Category::Books,
-            &["pdf"],
+            &[Pdf],
             "a book"
         )));
+        // in any letter case, and inside a longer word
+        let book = |title: &str| is_collection(&swarm_with(Category::Books, &[Pdf], title));
+        assert!(book("Ultimate COLLECTION"));
+        assert!(book("collections"));
+        assert!(!book("Collected Works, Vol. 2"));
         // keyword in another category does not count
         assert!(!is_collection(&swarm_with(
             Category::Music,
-            &["mp3"],
+            &[Mp3],
             "collection of hits"
         )));
+    }
+
+    #[test]
+    fn classifier_and_generator_share_a_vocabulary() {
+        for cat in Category::ALL {
+            let (content, decoys) = extensions(cat);
+            let classified = content_extensions(cat);
+            // Decoys never trip the bundle classifier.
+            for decoy in decoys {
+                assert!(
+                    !classified.contains(&decoy.as_str()),
+                    "{cat:?}: decoy {decoy:?} counts as content"
+                );
+            }
+            // The classifier looks only for extensions the generator
+            // draws as content, so it can recognise every bundle.
+            for ext in classified {
+                assert!(
+                    content.iter().any(|c| c.as_str() == *ext),
+                    "{cat:?}: classifier extension {ext} is never drawn as content"
+                );
+            }
+        }
+        for cat in [Category::Music, Category::Tv, Category::Books] {
+            assert!(!content_extensions(cat).is_empty(), "{cat:?} is classified");
+        }
     }
 
     #[test]

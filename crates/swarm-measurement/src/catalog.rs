@@ -53,13 +53,84 @@ impl Category {
     ];
 }
 
-/// One file inside a swarm's content.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// A file extension the generator draws: the content and decoy
+/// extensions of the nine categories.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum Extension {
+    /// `.mp3` audio.
+    Mp3,
+    /// `.mid` audio.
+    Mid,
+    /// `.wav` audio.
+    Wav,
+    /// `.mpg` video.
+    Mpg,
+    /// `.avi` video.
+    Avi,
+    /// `.mkv` video.
+    Mkv,
+    /// `.pdf` document.
+    Pdf,
+    /// `.djvu` document.
+    Djvu,
+    /// `.iso` disc image.
+    Iso,
+    /// `.bin` disc image.
+    Bin,
+    /// `.exe` executable.
+    Exe,
+    /// `.jpg` image.
+    Jpg,
+    /// `.png` image.
+    Png,
+    /// `.dat` data.
+    Dat,
+    /// `.zip` archive.
+    Zip,
+    /// `.nfo` release notes.
+    Nfo,
+    /// `.txt` text.
+    Txt,
+    /// `.srt` subtitles.
+    Srt,
+    /// `.ass` subtitles.
+    Ass,
+}
+
+impl Extension {
+    /// The lower-case extension without the dot, e.g. `"mp3"`.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Extension::Mp3 => "mp3",
+            Extension::Mid => "mid",
+            Extension::Wav => "wav",
+            Extension::Mpg => "mpg",
+            Extension::Avi => "avi",
+            Extension::Mkv => "mkv",
+            Extension::Pdf => "pdf",
+            Extension::Djvu => "djvu",
+            Extension::Iso => "iso",
+            Extension::Bin => "bin",
+            Extension::Exe => "exe",
+            Extension::Jpg => "jpg",
+            Extension::Png => "png",
+            Extension::Dat => "dat",
+            Extension::Zip => "zip",
+            Extension::Nfo => "nfo",
+            Extension::Txt => "txt",
+            Extension::Srt => "srt",
+            Extension::Ass => "ass",
+        }
+    }
+}
+
+/// One file inside a swarm's content: its extension and size, a 16-byte
+/// record with no heap of its own. Files carry no names; nothing in the
+/// §2 pipeline reads one.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FileEntry {
-    /// File name (synthetic, unique within the swarm).
-    pub name: String,
-    /// Lower-case extension without the dot.
-    pub extension: String,
+    /// File extension.
+    pub extension: Extension,
     /// Size in kB.
     pub size_kb: f64,
 }
@@ -145,18 +216,20 @@ const CATEGORY_PLAN: &[(Category, u64, f64)] = &[
 /// (841 of the 7,111 book bundles).
 const BOOK_COLLECTION_SHARE: f64 = 841.0 / 7_111.0;
 
-fn extensions(cat: Category) -> (&'static [&'static str], &'static [&'static str]) {
-    // (primary content extensions, decoy extensions)
+/// (primary content extensions, decoy extensions) the generator draws
+/// for `cat`.
+pub(crate) fn extensions(cat: Category) -> (&'static [Extension], &'static [Extension]) {
+    use Extension::*;
     match cat {
-        Category::Music => (&["mp3", "mid", "wav"], &["nfo", "jpg", "txt"]),
-        Category::Tv => (&["mpg", "avi"], &["nfo", "srt", "txt"]),
-        Category::Books => (&["pdf", "djvu"], &["nfo", "txt"]),
-        Category::Movies => (&["avi", "mkv"], &["nfo", "srt", "jpg"]),
-        Category::Games => (&["iso", "bin"], &["nfo", "txt"]),
-        Category::Software => (&["exe", "iso"], &["nfo", "txt"]),
-        Category::Anime => (&["mkv", "avi"], &["ass", "nfo"]),
-        Category::Pictures => (&["jpg", "png"], &["txt"]),
-        Category::Other => (&["dat", "zip"], &["nfo"]),
+        Category::Music => (&[Mp3, Mid, Wav], &[Nfo, Jpg, Txt]),
+        Category::Tv => (&[Mpg, Avi], &[Nfo, Srt, Txt]),
+        Category::Books => (&[Pdf, Djvu], &[Nfo, Txt]),
+        Category::Movies => (&[Avi, Mkv], &[Nfo, Srt, Jpg]),
+        Category::Games => (&[Iso, Bin], &[Nfo, Txt]),
+        Category::Software => (&[Exe, Iso], &[Nfo, Txt]),
+        Category::Anime => (&[Mkv, Avi], &[Ass, Nfo]),
+        Category::Pictures => (&[Jpg, Png], &[Txt]),
+        Category::Other => (&[Dat, Zip], &[Nfo]),
     }
 }
 
@@ -185,7 +258,9 @@ fn bundle_file_count<R: Rng + ?Sized>(cat: Category, rng: &mut R) -> usize {
 
 /// Generate the synthetic catalog.
 ///
-/// Deterministic for a given config. Swarm ids are dense from 0.
+/// Deterministic for a given config. Swarm ids are dense from 0. The
+/// swarm table is allocated once, at its exact length, and each swarm
+/// adds two allocations: its title and its file list.
 pub fn generate_catalog(cfg: &CatalogConfig) -> Vec<Swarm> {
     assert!(
         cfg.scale > 0.0 && cfg.scale <= 1.0,
@@ -194,10 +269,13 @@ pub fn generate_catalog(cfg: &CatalogConfig) -> Vec<Swarm> {
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(cfg.seed);
     use rand::SeedableRng;
 
-    let mut swarms = Vec::new();
+    // Swarms per category: the snapshot count at scale, at least 10.
+    let size = |count: u64| ((count as f64 * cfg.scale).round() as u64).max(10);
+    let total: u64 = CATEGORY_PLAN.iter().map(|&(_, count, _)| size(count)).sum();
+    let mut swarms = Vec::with_capacity(total as usize);
     let mut id = 0u64;
     for &(cat, count, bundle_frac) in CATEGORY_PLAN {
-        let n = ((count as f64 * cfg.scale).round() as u64).max(10);
+        let n = size(count);
         let mut collection_ids: Vec<u64> = Vec::new();
         for i in 0..n {
             let is_bundle = rng.gen::<f64>() < bundle_frac;
@@ -249,22 +327,21 @@ fn synth_swarm<R: Rng + ?Sized>(
     };
     let mut files = Vec::with_capacity(n_files + 2);
     let base_size = typical_file_size_kb(cat);
-    for f in 0..n_files {
-        let ext = content_exts[rng.gen_range(0..content_exts.len())];
+    for _ in 0..n_files {
+        let extension = content_exts[rng.gen_range(0..content_exts.len())];
         // Log-normal-ish spread around the typical size.
         let factor = (rng.gen::<f64>() * 2.0 - 1.0).exp();
         files.push(FileEntry {
-            name: format!("{cat:?}-{index_in_cat}-{f}.{ext}").to_lowercase(),
-            extension: ext.to_string(),
+            extension,
             size_kb: base_size * factor,
         });
     }
-    // Decoys (nfo/txt/...) never trip the bundle classifier.
-    for d in 0..rng.gen_range(0..=2usize) {
-        let ext = decoy_exts[rng.gen_range(0..decoy_exts.len())];
+    // Decoys (nfo/txt/...) never trip the bundle classifier; a test in
+    // `bundling` checks the two vocabularies against each other.
+    for _ in 0..rng.gen_range(0..=2usize) {
+        let extension = decoy_exts[rng.gen_range(0..decoy_exts.len())];
         files.push(FileEntry {
-            name: format!("extra-{d}.{ext}"),
-            extension: ext.to_string(),
+            extension,
             size_kb: rng.gen_range(1.0..50.0),
         });
     }
@@ -346,6 +423,11 @@ mod tests {
     }
 
     #[test]
+    fn file_entry_is_a_16_byte_record() {
+        assert_eq!(std::mem::size_of::<FileEntry>(), 16);
+    }
+
+    #[test]
     fn catalog_is_deterministic() {
         let a = catalog();
         let b = catalog();
@@ -386,7 +468,13 @@ mod tests {
         let swarms = catalog();
         let with_many = swarms
             .iter()
-            .filter(|s| s.files.iter().filter(|f| f.extension == "mp3").count() >= 2)
+            .filter(|s| {
+                s.files
+                    .iter()
+                    .filter(|f| f.extension == Extension::Mp3)
+                    .count()
+                    >= 2
+            })
             .count();
         assert!(with_many > 0, "some music bundles must exist");
     }
@@ -425,7 +513,12 @@ mod tests {
             let content = s
                 .files
                 .iter()
-                .filter(|f| f.extension != "nfo" && f.extension != "jpg" && f.extension != "txt")
+                .filter(|f| {
+                    !matches!(
+                        f.extension,
+                        Extension::Nfo | Extension::Jpg | Extension::Txt
+                    )
+                })
                 .count();
             if content >= 2 {
                 bundle_sum += s.demand;

@@ -9,7 +9,9 @@
 //! * [`catalog`] — a Mininova-shaped catalog: nine categories, per-category
 //!   bundle prevalence calibrated to §2.3.1, file-extension mixes, Zipf
 //!   demand, heterogeneous publishers (more committed for bundles), and
-//!   book super-collections;
+//!   book super-collections. A file is a 16-byte [`FileEntry`] (an
+//!   [`Extension`] and a size), so a swarm owns exactly two heap blocks,
+//!   its title and its file list;
 //! * [`observe`] — per-swarm seed-presence as an alternating renewal
 //!   process whose ON periods are M/G/∞ busy periods of the seed process
 //!   (publishers + altruistic completers), with demand and publisher
@@ -47,6 +49,6 @@ pub use analysis::{
 pub use availability::{availability_study, AvailabilityStudy};
 pub use bias::{bias_study, BiasStudy, Observer};
 pub use bundling::{bundling_extent, is_bundle, is_collection, BundlingExtent};
-pub use catalog::{generate_catalog, CatalogConfig, Category, FileEntry, Swarm};
+pub use catalog::{generate_catalog, CatalogConfig, Category, Extension, FileEntry, Swarm};
 pub use observe::{monitor, seed_process, stationary_availability};
 pub use population::{capture_recapture, sample_and_estimate, PopulationEstimate};
