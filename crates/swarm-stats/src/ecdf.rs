@@ -76,11 +76,16 @@ impl Ecdf {
     }
 
     /// Kolmogorov–Smirnov distance to another ECDF
-    /// (sup over observed jump points of |F1 - F2|).
+    /// (sup over observed jump points of |F1 - F2|). `NaN` when either
+    /// sample is empty, as [`Ecdf::eval`] is: an empty sample agrees
+    /// with no distribution.
     ///
     /// Used by tests to compare simulated distributions against analytic
     /// ones and by the reproduction harness to quantify "shape" agreement.
     pub fn ks_distance(&self, other: &Ecdf) -> f64 {
+        if self.is_empty() || other.is_empty() {
+            return f64::NAN;
+        }
         let mut d: f64 = 0.0;
         for &x in self.sorted.iter().chain(other.sorted.iter()) {
             d = d.max((self.eval(x) - other.eval(x)).abs());
@@ -149,6 +154,15 @@ mod tests {
         let a = Ecdf::new(vec![1.0, 2.0, 3.0]);
         let b = Ecdf::new(vec![1.0, 2.0, 3.0]);
         assert_eq!(a.ks_distance(&b), 0.0);
+    }
+
+    #[test]
+    fn ks_distance_to_an_empty_sample_is_nan() {
+        let a = Ecdf::new(vec![1.0, 2.0]);
+        let empty = Ecdf::new(vec![]);
+        assert!(a.ks_distance(&empty).is_nan());
+        assert!(empty.ks_distance(&a).is_nan());
+        assert!(empty.ks_distance(&empty).is_nan());
     }
 
     #[test]
