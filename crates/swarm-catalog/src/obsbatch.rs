@@ -155,6 +155,7 @@ mod tests {
             id: 0,
             on_hours: 1.0,
             first_month_on_hours: 1.0,
+            on_samples: 1,
             toggles,
             arrivals,
             lingered: 0,

@@ -10,6 +10,7 @@
 
 use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard, OnceLock};
+use swarm_catalog::runtime::simulate_swarm;
 use swarm_catalog::{run_catalog, CatalogRunConfig};
 use swarm_measurement::{generate_catalog, CatalogConfig, Swarm};
 
@@ -158,5 +159,35 @@ proptest! {
         let serial = summaries_json(&swarms, 1, months);
         let sharded = summaries_json(&swarms, threads, months);
         prop_assert_eq!(serial, sharded);
+    }
+
+    /// Hour-boundary samples of a walk track its exact on-time: each
+    /// seeded stretch gains or loses less than one sample, and a walk
+    /// that is never (always) seeded samples no (every) hour.
+    #[test]
+    fn hour_samples_track_on_time(
+        seed in 0u64..u64::MAX,
+        catalog_seed in 0u64..u64::MAX,
+        months in 1u32..8,
+    ) {
+        let cfg = CatalogRunConfig { catalog_seed, months, ..CatalogRunConfig::default() };
+        let hours = 720 * months;
+        for s in catalog(0.001, seed).iter().step_by(8) {
+            let out = simulate_swarm(s, &cfg);
+            prop_assert!(out.on_samples <= hours);
+            let err = (f64::from(out.on_samples) - out.on_hours).abs();
+            prop_assert!(
+                err <= (out.toggles / 2 + 1) as f64,
+                "swarm {}: {} samples vs {} hours over {} toggles",
+                s.id, out.on_samples, out.on_hours, out.toggles
+            );
+            if out.on_hours == 0.0 {
+                prop_assert_eq!(out.on_samples, 0);
+            }
+            if out.toggles == 0 && out.final_on {
+                prop_assert!((out.on_hours - f64::from(hours)).abs() < 1e-6);
+                prop_assert_eq!(out.on_samples, hours);
+            }
+        }
     }
 }
