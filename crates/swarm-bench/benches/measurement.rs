@@ -1,10 +1,9 @@
-//! Throughput of the measurement pipeline: catalog generation and the
-//! agent-sampling loop behind Figure 1.
+//! Throughput of the measurement pipeline's catalog generation. The
+//! seed-process walk behind Figure 1 is measured by `catalog_bench` and
+//! swarmbench's `catalog` workload.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
-use swarm_measurement::{availability_study, generate_catalog, CatalogConfig};
+use criterion::{criterion_group, criterion_main, Criterion};
+use swarm_measurement::{generate_catalog, CatalogConfig};
 
 fn bench_measurement(c: &mut Criterion) {
     c.bench_function("generate_catalog_1pct", |b| {
@@ -15,21 +14,6 @@ fn bench_measurement(c: &mut Criterion) {
             })
         })
     });
-
-    let mut group = c.benchmark_group("availability_study");
-    group.sample_size(10);
-    group.bench_function("monitor_500_swarms_7mo", |b| {
-        let catalog = generate_catalog(&CatalogConfig {
-            scale: 0.0005,
-            seed: 2,
-        });
-        b.iter_batched(
-            || ChaCha8Rng::seed_from_u64(3),
-            |mut rng| availability_study(&catalog, 7, &mut rng),
-            BatchSize::SmallInput,
-        )
-    });
-    group.finish();
 }
 
 criterion_group!(benches, bench_measurement);

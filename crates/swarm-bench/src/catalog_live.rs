@@ -1,18 +1,18 @@
 //! E1′ — `catalog-live`: the whole generated catalog ticked through the
 //! sharded multi-swarm runtime.
 //!
-//! Where `fig1` *samples* availability with hourly monitoring agents,
-//! this experiment runs every swarm of the catalog through
+//! This experiment runs every swarm of the catalog through
 //! `swarm-catalog`'s work-stealing shard pool and reports measured
 //! aggregates: seed-time CDF calibration points, downloads served,
-//! seed-process transitions. Every number in the JSON payload is
+//! seed-process transitions. `fig1` draws its CDFs from the same run;
+//! the two stay separate reports. Every number in the JSON payload is
 //! deterministic in the catalog seed alone — shard count and steal
 //! order provably cannot move it — so the quick-mode run doubles as a
 //! cross-thread-count regression surface for the `repro diff` gate.
 
 use crate::output::Report;
 use serde_json::json;
-use swarm_catalog::{availability_study_live, run_catalog, CatalogRunConfig};
+use swarm_catalog::{availability_study, run_catalog, CatalogRunConfig};
 use swarm_measurement::{generate_catalog, CatalogConfig};
 
 /// Worker threads for the catalog experiments: every available core,
@@ -44,7 +44,7 @@ pub fn run(quick: bool) -> Report {
             start_at_generated_age: false,
         },
     );
-    let study = availability_study_live(&run);
+    let study = availability_study(&run);
 
     let always = study.always_available_first_month();
     let mostly_off = study.mostly_unavailable_whole_trace(0.2);
@@ -90,7 +90,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn catalog_live_calibrates_like_the_sampled_study() {
+    fn catalog_live_calibrates_like_the_paper() {
         let r = run(true);
         let always = r.data["always_available_first_month"].as_f64().unwrap();
         let mostly = r.data["mostly_unavailable_whole_trace"].as_f64().unwrap();

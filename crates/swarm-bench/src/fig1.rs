@@ -1,19 +1,14 @@
 //! E1 — Figure 1: CDF of seed availability across the monitored swarms.
 //!
-//! Two pipelines produce the figure side by side:
-//!
-//! * **sampled** — the original hourly monitoring agents
-//!   (`swarm_measurement::availability_study`), one shared RNG, serial;
-//! * **live** — the sharded catalog runtime (`swarm-catalog`) ticking
-//!   every swarm event-driven on the work-stealing shard pool; its
-//!   numbers are bit-identical at any thread count.
+//! Every swarm of the catalog is walked from its creation through the
+//! sharded catalog runtime (`swarm-catalog`), event-driven on the
+//! work-stealing shard pool; the numbers are bit-identical at any
+//! thread count.
 
 use crate::output::Report;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 use serde_json::json;
-use swarm_catalog::{availability_study_live, run_catalog, CatalogRunConfig};
-use swarm_measurement::{availability_study, generate_catalog, CatalogConfig};
+use swarm_catalog::{availability_study, run_catalog, CatalogRunConfig};
+use swarm_measurement::{generate_catalog, CatalogConfig};
 use swarm_stats::ascii::{line_chart, Series};
 
 /// Regenerate Figure 1. `quick` shrinks the catalog.
@@ -22,11 +17,7 @@ pub fn run(quick: bool) -> Report {
     let scale = if quick { 0.002 } else { 0.01 };
     let months = 7;
     let catalog = generate_catalog(&CatalogConfig { scale, seed: 1001 });
-    let mut rng = ChaCha8Rng::seed_from_u64(1002);
-    let study = availability_study(&catalog, months, &mut rng);
-
-    // The same catalog through the live sharded runtime.
-    let live_run = run_catalog(
+    let run = run_catalog(
         &catalog,
         &CatalogRunConfig {
             catalog_seed: 1003,
@@ -35,7 +26,7 @@ pub fn run(quick: bool) -> Report {
             start_at_generated_age: false,
         },
     );
-    let live = availability_study_live(&live_run);
+    let study = availability_study(&run);
 
     let first: Vec<(f64, f64)> = study.first_month.curve(0.0, 1.0, 41);
     let whole: Vec<(f64, f64)> = study.whole_trace.curve(0.0, 1.0, 41);
@@ -50,8 +41,6 @@ pub fn run(quick: bool) -> Report {
     ));
     let always = study.always_available_first_month();
     let mostly_off = study.mostly_unavailable_whole_trace(0.2);
-    let live_always = live.always_available_first_month();
-    let live_mostly_off = live.mostly_unavailable_whole_trace(0.2);
     report.line(format!(
         "swarms monitored: {} | always available in first month: {:.1}% (paper: <35%)",
         catalog.len(),
@@ -62,11 +51,9 @@ pub fn run(quick: bool) -> Report {
         mostly_off * 100.0
     ));
     report.line(format!(
-        "live catalog runtime: always available {:.1}% | mostly unavailable {:.1}% \
-         | downloads served {}",
-        live_always * 100.0,
-        live_mostly_off * 100.0,
-        live_run.total_arrivals()
+        "downloads served: {} | seed-process toggles: {}",
+        run.total_arrivals(),
+        run.total_toggles()
     ));
 
     report.set_data(json!({
@@ -76,14 +63,8 @@ pub fn run(quick: bool) -> Report {
         "mostly_unavailable_whole_trace": mostly_off,
         "first_month_cdf": first,
         "whole_trace_cdf": whole,
-        "live": {
-            "always_available_first_month": live_always,
-            "mostly_unavailable_whole_trace": live_mostly_off,
-            "first_month_cdf": live.first_month.curve(0.0, 1.0, 41),
-            "whole_trace_cdf": live.whole_trace.curve(0.0, 1.0, 41),
-            "arrivals": live_run.total_arrivals(),
-            "toggles": live_run.total_toggles(),
-        },
+        "arrivals": run.total_arrivals(),
+        "toggles": run.total_toggles(),
         "paper": {
             "always_available_first_month": "< 0.35",
             "mostly_unavailable_whole_trace": "~ 0.80",
@@ -104,18 +85,6 @@ mod tests {
         assert!(always < 0.45, "always available {always}");
         assert!(mostly > 0.5, "mostly unavailable {mostly}");
         assert!(r.text.contains("CDF"));
-
-        // The live runtime must agree with the sampled pipeline on the
-        // paper's calibration claims.
-        let live_always = r.data["live"]["always_available_first_month"]
-            .as_f64()
-            .unwrap();
-        let live_mostly = r.data["live"]["mostly_unavailable_whole_trace"]
-            .as_f64()
-            .unwrap();
-        assert!(live_always < 0.45, "live always available {live_always}");
-        assert!(live_mostly > 0.5, "live mostly unavailable {live_mostly}");
-        assert!((live_always - always).abs() < 0.15, "pipelines disagree");
-        assert!(r.data["live"]["arrivals"].as_u64().unwrap() > 0);
+        assert!(r.data["arrivals"].as_u64().unwrap() > 0);
     }
 }

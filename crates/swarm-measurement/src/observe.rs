@@ -1,17 +1,16 @@
-//! Seed-presence dynamics and monitoring agents.
+//! Seed-presence dynamics: the closed forms of a swarm's seed process.
 //!
-//! The paper's agents join each swarm and classify seeds from peer
-//! bitmaps, recording roughly hourly whether at least one seed is online.
-//! Here, each swarm's *ground-truth* seed presence is an alternating
-//! renewal process driven by the paper's own model: seeds (the original
+//! Each swarm's *ground-truth* seed presence is an alternating renewal
+//! process driven by the paper's own model: seeds (the original
 //! publisher plus altruistic completers) form an M/G/∞ queue whose busy
 //! periods are seed-present intervals (eq. 9 parameterization), and idle
 //! periods are exponential with mean `1/r`. Demand and publisher interest
 //! decay with swarm age, which is what separates the paper's first-month
-//! curve from the whole-trace curve in Figure 1.
+//! curve from the whole-trace curve in Figure 1. The process itself is
+//! walked by `swarm_catalog::runtime::simulate_swarm`; this module holds
+//! its parameters and their stationary reading.
 
 use crate::catalog::Swarm;
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 use swarm_queue::busy::TwoPhaseBusyPeriod;
 
@@ -19,9 +18,8 @@ use swarm_queue::busy::TwoPhaseBusyPeriod;
 pub const HOURS_PER_MONTH: f64 = 720.0;
 
 /// How often (in hours) the slowly-varying seed-process parameters are
-/// refreshed: weekly. Shared by the hourly [`monitor`] agents and the
-/// event-driven catalog runtime (`swarm-catalog`), so both discretize
-/// the age-decay the same way.
+/// refreshed: weekly. The catalog runtime's walk (`swarm-catalog`)
+/// holds the hazards constant within each such segment.
 pub const PARAM_REFRESH_HOURS: usize = 24 * 7;
 
 /// Age-dependent effective parameters of a swarm's seed process.
@@ -75,45 +73,6 @@ pub fn stationary_availability(swarm: &Swarm, age_days: f64) -> f64 {
     p.on_mean / (p.on_mean + p.off_mean)
 }
 
-/// Hourly seed-presence samples over `months` months of monitoring,
-/// starting at the swarm's creation.
-///
-/// The ON/OFF process is simulated with *time-varying hazards*: both
-/// period lengths are exponential with age-dependent means, so each hour
-/// the state toggles with probability `1 − e^{−1/mean(age)}`. This is the
-/// correct generalization of the alternating renewal process to decaying
-/// parameters — a swarm that starts with a month-long busy period still
-/// goes dark once its publisher's interest fades, which is what separates
-/// Figure 1's first-month curve from its whole-trace curve. Parameters
-/// are refreshed weekly (they vary slowly).
-pub fn monitor<R: Rng + ?Sized>(swarm: &Swarm, months: u32, rng: &mut R) -> Vec<bool> {
-    assert!(months >= 1, "must monitor for at least one month");
-    let horizon_hours = (months as f64 * HOURS_PER_MONTH) as usize;
-    let mut samples = Vec::with_capacity(horizon_hours);
-    let p0 = seed_process(swarm, 0.0);
-    let mut on = rng.gen::<f64>() < p0.on_mean / (p0.on_mean + p0.off_mean);
-    let mut params = p0;
-    for hour in 0..horizon_hours {
-        if hour % PARAM_REFRESH_HOURS == 0 && hour > 0 {
-            params = seed_process(swarm, hour as f64 / 24.0);
-        }
-        let mean = if on { params.on_mean } else { params.off_mean };
-        if rng.gen::<f64>() < 1.0 - (-1.0 / mean).exp() {
-            on = !on;
-        }
-        samples.push(on);
-    }
-    samples
-}
-
-/// Fraction of samples with a seed present.
-pub fn availability_fraction(samples: &[bool]) -> f64 {
-    if samples.is_empty() {
-        return f64::NAN;
-    }
-    samples.iter().filter(|&&s| s).count() as f64 / samples.len() as f64
-}
-
 /// Expected number of completed downloads over a monitoring window: peers
 /// arrive at the (decayed) demand and complete when content is available.
 pub fn expected_downloads(swarm: &Swarm, months: u32) -> f64 {
@@ -131,8 +90,6 @@ pub fn expected_downloads(swarm: &Swarm, months: u32) -> f64 {
 mod tests {
     use super::*;
     use crate::catalog::{generate_catalog, CatalogConfig, Category};
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
 
     fn any_swarm() -> Swarm {
         generate_catalog(&CatalogConfig {
@@ -163,38 +120,6 @@ mod tests {
     }
 
     #[test]
-    fn monitor_matches_stationary_availability() {
-        let s = any_swarm();
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
-        // Average over many independent month-long traces.
-        let mut frac_sum = 0.0;
-        let reps = 200;
-        for _ in 0..reps {
-            let samples = monitor(&s, 1, &mut rng);
-            assert_eq!(samples.len(), 720);
-            frac_sum += availability_fraction(&samples);
-        }
-        let measured = frac_sum / reps as f64;
-        // With decaying parameters the occupancy lags the stationary
-        // curve (the process remembers its more-available past), so the
-        // measured month-average must lie between the end-of-month and
-        // start-of-month stationary availabilities.
-        let lo = stationary_availability(&s, 30.0);
-        let hi = stationary_availability(&s, 0.0);
-        assert!(
-            measured >= lo - 0.05 && measured <= hi + 0.05,
-            "measured {measured} outside stationary envelope [{lo}, {hi}]"
-        );
-    }
-
-    #[test]
-    fn availability_fraction_edge_cases() {
-        assert!(availability_fraction(&[]).is_nan());
-        assert_eq!(availability_fraction(&[true, true]), 1.0);
-        assert_eq!(availability_fraction(&[true, false, false, false]), 0.25);
-    }
-
-    #[test]
     fn expected_downloads_positive_and_decaying() {
         let s = any_swarm();
         let one = expected_downloads(&s, 1);
@@ -204,13 +129,5 @@ mod tests {
         // Month 7 adds less than month 1 did (decay).
         let six = expected_downloads(&s, 6);
         assert!(seven - six < one);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one month")]
-    fn monitor_rejects_zero_months() {
-        let s = any_swarm();
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
-        monitor(&s, 0, &mut rng);
     }
 }

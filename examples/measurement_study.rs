@@ -1,6 +1,6 @@
 //! A miniature Section-2 measurement study end to end: generate a
-//! synthetic catalog, deploy monitoring agents for seven months, and
-//! reproduce the paper's headline measurement findings.
+//! synthetic catalog, walk every swarm's seed process for seven months,
+//! and reproduce the paper's headline measurement findings.
 //!
 //! ```text
 //! cargo run --release --example measurement_study
@@ -8,9 +8,9 @@
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use swarmsys::catalog::{availability_study, run_catalog, CatalogRunConfig};
 use swarmsys::measurement::{
-    availability_study, book_stats, bundling_extent, generate_catalog, show_case_study,
-    CatalogConfig, Category,
+    book_stats, bundling_extent, generate_catalog, show_case_study, CatalogConfig, Category,
 };
 use swarmsys::stats::ascii::{line_chart, Series};
 
@@ -22,8 +22,15 @@ fn main() {
     println!("generated {} swarms across 9 categories\n", catalog.len());
 
     // (1) Content unavailability is a serious problem (Figure 1).
-    let mut rng = ChaCha8Rng::seed_from_u64(2027);
-    let study = availability_study(&catalog, 7, &mut rng);
+    let run = run_catalog(
+        &catalog,
+        &CatalogRunConfig {
+            catalog_seed: 2027,
+            months: 7,
+            ..CatalogRunConfig::default()
+        },
+    );
+    let study = availability_study(&run);
     println!(
         "{}",
         line_chart(

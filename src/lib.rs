@@ -25,7 +25,11 @@
 //! * [`sim`] — flow-level discrete-event swarm simulator;
 //! * [`bt`] — block-level BitTorrent-like engine (pieces, bitfields,
 //!   rarest-first, choking, tracker/PEX);
-//! * [`measurement`] — synthetic Mininova-scale measurement study.
+//! * [`measurement`] — synthetic Mininova-scale measurement study:
+//!   the catalog, the bundle classifier and the seed process's closed
+//!   forms;
+//! * [`catalog`] — the seed-process walk over the whole catalog, and
+//!   the Figure 1 and monitoring-bias studies read from it.
 //!
 //! ## Quick start
 //!
@@ -82,5 +86,8 @@ pub use swarm_net as net;
 
 /// Synthetic measurement study (re-export of `swarm-measurement`).
 pub use swarm_measurement as measurement;
+
+/// Catalog-scale seed-process walk (re-export of `swarm-catalog`).
+pub use swarm_catalog as catalog;
 
 pub use swarm_core::params::{PublisherScaling, SwarmParams};
