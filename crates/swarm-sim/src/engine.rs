@@ -35,8 +35,8 @@ enum EventKind {
     PublisherArrival,
     PublisherDeparture { publisher: usize },
     PublisherToggle,
-    Completion { peer: usize, epoch: u64 },
-    LingerEnd { peer: usize },
+    Completion { peer: u64, epoch: u64 },
+    LingerEnd { peer: u64 },
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -70,7 +70,6 @@ enum PeerState {
     Waiting,
     Downloading,
     Lingering,
-    Gone,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -146,6 +145,10 @@ struct Engine<'c> {
     now: f64,
     seq: u64,
     events: BinaryHeap<Reverse<Event>>,
+    /// Peers in the system (waiting, downloading or lingering) in arrival
+    /// order, which is entity order. A peer is removed the moment it
+    /// leaves, so every scan costs O(peers present), and events name a
+    /// peer by entity id, found by binary search.
     peers: Vec<Peer>,
     publishers: Vec<Publisher>,
     publishers_online: usize,
@@ -154,7 +157,6 @@ struct Engine<'c> {
     uptime: UptimeFraction,
     next_entity: u64,
     result: SimResult,
-    completions_total: u64,
     /// UntilFirstCompletion mode: publisher already left for good.
     publisher_retired: bool,
     timeline: Timeline,
@@ -179,7 +181,6 @@ impl<'c> Engine<'c> {
             uptime: UptimeFraction::new(cfg.warmup, false),
             next_entity: 0,
             result: SimResult::default(),
-            completions_total: 0,
             publisher_retired: false,
             timeline: Timeline::new(),
             probes: SimProbes::get(),
@@ -259,6 +260,12 @@ impl<'c> Engine<'c> {
             seq: self.seq,
             kind,
         }));
+    }
+
+    /// Table index of the peer with entity id `entity`, if it is still in
+    /// the system.
+    fn find(&self, entity: u64) -> Option<usize> {
+        self.peers.binary_search_by_key(&entity, |p| p.entity).ok()
     }
 
     /// Online content holders: downloading peers plus lingering seeds.
@@ -352,26 +359,32 @@ impl<'c> Engine<'c> {
         }
     }
 
+    /// Patient downloaders start waiting; impatient ones leave unserved.
     fn pause_downloading_peers(&mut self) {
-        let now = self.now;
-        for i in 0..self.peers.len() {
-            if self.peers[i].state == PeerState::Downloading {
-                self.record_interval(i, EntityState::Active);
-                self.peers[i].epoch += 1; // invalidate pending completion
-                match self.cfg.patience {
-                    Patience::Patient => {
-                        self.peers[i].state = PeerState::Waiting;
-                        self.peers[i].state_since = now;
+        let (now, cfg) = (self.now, self.cfg);
+        let (timeline, result) = (&mut self.timeline, &mut self.result);
+        self.peers.retain_mut(|p| {
+            if p.state != PeerState::Downloading {
+                return true;
+            }
+            if cfg.record_timeline {
+                timeline.push(p.entity, p.state_since, now, EntityState::Active);
+            }
+            p.epoch += 1; // invalidate pending completion
+            match cfg.patience {
+                Patience::Patient => {
+                    p.state = PeerState::Waiting;
+                    p.state_since = now;
+                    true
+                }
+                Patience::Impatient => {
+                    if p.counted {
+                        result.blocked += 1;
                     }
-                    Patience::Impatient => {
-                        self.peers[i].state = PeerState::Gone;
-                        if self.peers[i].counted {
-                            self.result.blocked += 1;
-                        }
-                    }
+                    false
                 }
             }
-        }
+        });
     }
 
     fn record_interval(&mut self, peer_idx: usize, state: EntityState) {
@@ -385,12 +398,12 @@ impl<'c> Engine<'c> {
     fn start_service(&mut self, peer_idx: usize) {
         match self.cfg.service {
             ServiceModel::Exponential { mean } => {
-                let epoch = self.peers[peer_idx].epoch;
+                let Peer { entity, epoch, .. } = self.peers[peer_idx];
                 let t = self.exp(mean);
                 self.schedule(
                     t,
                     EventKind::Completion {
-                        peer: peer_idx,
+                        peer: entity,
                         epoch,
                     },
                 );
@@ -404,13 +417,9 @@ impl<'c> Engine<'c> {
     fn complete_peer(&mut self, peer_idx: usize) {
         self.record_interval(peer_idx, EntityState::Active);
         let now = self.now;
-        self.completions_total += 1;
         if let Some(p) = &self.probes {
             p.completions.inc();
         }
-        self.result
-            .completion_curve
-            .push((now, self.completions_total));
         {
             let p = &mut self.peers[peer_idx];
             if p.counted {
@@ -436,16 +445,17 @@ impl<'c> Engine<'c> {
                 p.online = false;
             }
         }
-        let p = &mut self.peers[peer_idx];
         match self.cfg.linger_mean {
             Some(mean) => {
+                let p = &mut self.peers[peer_idx];
                 p.state = PeerState::Lingering;
                 p.state_since = now;
+                let peer = p.entity;
                 let t = self.exp(mean);
-                self.schedule(t, EventKind::LingerEnd { peer: peer_idx });
+                self.schedule(t, EventKind::LingerEnd { peer });
             }
             None => {
-                p.state = PeerState::Gone;
+                self.peers.remove(peer_idx);
             }
         }
         self.check_availability_end();
@@ -594,18 +604,23 @@ impl<'c> Engine<'c> {
                 }
             }
             EventKind::Completion { peer, epoch } => {
-                if self.peers[peer].state == PeerState::Downloading
-                    && self.peers[peer].epoch == epoch
-                {
-                    self.complete_peer(peer);
+                // A stale event names a peer that has left, or one whose
+                // service was paused since (a newer epoch).
+                let due = self.find(peer).filter(|&i| {
+                    let p = &self.peers[i];
+                    p.state == PeerState::Downloading && p.epoch == epoch
+                });
+                if let Some(i) = due {
+                    self.complete_peer(i);
                 }
             }
             EventKind::LingerEnd { peer } => {
-                if self.peers[peer].state == PeerState::Lingering {
-                    self.record_interval(peer, EntityState::Active);
-                    self.peers[peer].state = PeerState::Gone;
-                    self.check_availability_end();
-                }
+                let i = self
+                    .find(peer)
+                    .expect("a lingering peer stays until its linger ends");
+                self.record_interval(i, EntityState::Active);
+                self.peers.remove(i);
+                self.check_availability_end();
             }
         }
     }
@@ -667,7 +682,6 @@ impl<'c> Engine<'c> {
                         self.record_interval(i, EntityState::Active)
                     }
                     PeerState::Waiting => self.record_interval(i, EntityState::Waiting),
-                    PeerState::Gone => {}
                 }
             }
             for p in &self.publishers {
@@ -677,11 +691,7 @@ impl<'c> Engine<'c> {
                 }
             }
         }
-        self.result.in_flight_at_horizon = self
-            .peers
-            .iter()
-            .filter(|p| p.state != PeerState::Gone)
-            .count() as u64;
+        self.result.in_flight_at_horizon = self.peers.len() as u64;
         if self.cfg.record_timeline && self.available {
             self.result
                 .availability_intervals

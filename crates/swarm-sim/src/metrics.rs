@@ -28,9 +28,6 @@ pub struct SimResult {
     pub busy_periods: Samples,
     /// Fraction of post-warmup time during which content was available.
     pub availability: f64,
-    /// `(time, cumulative completions)` steps for Figure-4-style plots
-    /// (includes every completion, pre- and post-warmup).
-    pub completion_curve: Vec<(f64, u64)>,
     /// Optional per-entity timeline (Figures 2 and 5).
     pub timeline: Timeline,
     /// Closed availability intervals `(start, end)` over the whole run
@@ -65,7 +62,8 @@ impl SimResult {
 
     /// Merge another replication's result into this one (per-peer samples
     /// concatenate; availability averages weighted equally — callers run
-    /// identical-length replications).
+    /// identical-length replications). Timelines and availability
+    /// intervals are per-run artifacts: the first run's are kept.
     pub fn absorb(&mut self, other: &SimResult, replications_so_far: u64) {
         self.download_times.extend_from(&other.download_times);
         self.waiting_times.extend_from(&other.waiting_times);
@@ -76,11 +74,6 @@ impl SimResult {
         self.busy_periods.extend_from(&other.busy_periods);
         let n = replications_so_far as f64;
         self.availability = (self.availability * n + other.availability) / (n + 1.0);
-        // Completion curves and timelines are per-run artifacts; keep the
-        // first run's.
-        if self.completion_curve.is_empty() {
-            self.completion_curve = other.completion_curve.clone();
-        }
     }
 }
 
