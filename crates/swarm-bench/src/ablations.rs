@@ -8,12 +8,7 @@ use swarm_core::bundling::{optimal_bundle_size, sweep_single_publisher};
 use swarm_core::params::{PublisherScaling, SwarmParams};
 use swarm_core::{asymptotic, impatient, lingering, patient, threshold, zipf::ZipfProfile};
 use swarm_sim::{replicate, Patience, PublisherProcess, ServiceModel, SimConfig};
-
-fn threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-}
+use swarm_stats::parallel::cores;
 
 /// A1 — coverage-threshold sensitivity: how m moves B(m) and the optimal
 /// bundle size.
@@ -246,7 +241,7 @@ pub fn service_ablation(quick: bool) -> Report {
         let exp = replicate(
             &mk(ServiceModel::Exponential { mean: 80.0 * kf }),
             reps,
-            threads(),
+            cores(),
         );
         let fluid = replicate(
             &mk(ServiceModel::Fluid {
@@ -256,7 +251,7 @@ pub fn service_ablation(quick: bool) -> Report {
                 download_cap: 4_000.0,
             }),
             reps,
-            threads(),
+            cores(),
         );
         rows.push((
             format!("K={k}"),
@@ -309,7 +304,7 @@ pub fn trace_ablation(quick: bool) -> Report {
             record_timeline: false,
         };
         // Poisson baseline.
-        let poisson = replicate(&cfg, reps, threads()).pooled.mean_download_time();
+        let poisson = replicate(&cfg, reps, cores()).pooled.mean_download_time();
         // Trace-driven: a decaying "old swarm settling" pattern with the
         // same long-run mean rate, bootstrap-replicated per run.
         let mut t_sum = 0.0;

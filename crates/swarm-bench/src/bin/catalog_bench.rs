@@ -243,9 +243,7 @@ fn main() -> ExitCode {
     }
 
     let run = first_run.expect("at least one thread count");
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let cores = swarm_stats::parallel::cores();
     let max_threads = *thread_counts.last().unwrap();
     let (min_speedup, speedup_bar_note) = if quick {
         (None, "quick mode records the ratio only".to_string())

@@ -213,9 +213,7 @@ fn main() -> ExitCode {
         }
     }
 
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
+    let cores = swarm_stats::parallel::cores();
     let workers = args.jobs.unwrap_or(cores);
     let cfg = RunConfig {
         workers,

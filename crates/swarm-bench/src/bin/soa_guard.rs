@@ -478,9 +478,7 @@ fn main() -> ExitCode {
     let (soa_min_s, soa_median_s) = summarize(soa_samples);
     let speedup = reference_min_s / soa_min_s;
 
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let cores = swarm_stats::parallel::cores();
     let bar_note = format!(
         "enforced on {cores} core(s): both arms are single-threaded and \
          interleaved in one process, so the ratio is core-count \

@@ -19,10 +19,7 @@ use swarm_measurement::{generate_catalog, CatalogConfig};
 /// bounded so a huge machine doesn't oversubscribe the lab scheduler's
 /// own workers.
 pub fn worker_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(8)
+    swarm_stats::parallel::cores().min(8)
 }
 
 /// Run the live catalog experiment. `quick` shrinks the catalog.

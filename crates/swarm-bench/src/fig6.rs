@@ -21,6 +21,7 @@ use swarm_core::params::{PublisherScaling, SwarmParams};
 use swarm_core::threshold;
 use swarm_sim::{replicate, Patience, PublisherProcess, ServiceModel, SimConfig};
 use swarm_stats::ascii::{box_plot_row, line_chart, Series};
+use swarm_stats::parallel::cores;
 
 /// §4.3 base parameters as a model/flow-sim configuration.
 pub fn fig6_params() -> SwarmParams {
@@ -60,16 +61,10 @@ fn flow_sim_stats(k: u32, mu: f64, reps: usize, seed: u64) -> swarm_stats::BoxPl
         seed,
         record_timeline: false,
     };
-    replicate(&cfg, reps, threads())
+    replicate(&cfg, reps, cores())
         .pooled
         .download_times
         .box_plot()
-}
-
-fn threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
 }
 
 /// E8 — Figure 6(a).
@@ -95,7 +90,7 @@ pub fn fig6a(quick: bool) -> Report {
         let bt = bt_replicate(
             &BtConfig::paper_section_4_3(k, 6100 + k as u64),
             if quick { 2 } else { 6 },
-            threads(),
+            cores(),
         );
         block.push((k as f64, bt.mean_download_time()));
     }
@@ -171,7 +166,7 @@ pub fn fig6b(quick: bool) -> Report {
             download_cap: DOWNLINK,
             ..BtConfig::paper_section_4_3(k, 6300 + k as u64)
         };
-        let bt = bt_replicate(&cfg, if quick { 2 } else { 6 }, threads());
+        let bt = bt_replicate(&cfg, if quick { 2 } else { 6 }, cores());
         block.push((k as f64, bt.mean_download_time()));
     }
     report.block(line_chart(
@@ -234,7 +229,7 @@ pub fn fig6c(quick: bool) -> Report {
             seed: 6400 + i as u64,
             record_timeline: false,
         };
-        let mut rep = replicate(&cfg, reps, threads());
+        let mut rep = replicate(&cfg, reps, cores());
         let b = rep.pooled.download_times.box_plot();
         all_boxes.push((format!("file {i}"), b));
         data.push(json!({ "experiment": i, "lambda": lambda, "mean": b.mean, "box": b }));
@@ -258,7 +253,7 @@ pub fn fig6c(quick: bool) -> Report {
         seed: 6405,
         record_timeline: false,
     };
-    let mut rep = replicate(&cfg, reps, threads());
+    let mut rep = replicate(&cfg, reps, cores());
     let b = rep.pooled.download_times.box_plot();
     all_boxes.push(("bundle".to_string(), b));
     data.push(json!({ "experiment": 5, "lambda": lambda_bundle, "mean": b.mean, "box": b }));

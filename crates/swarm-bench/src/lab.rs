@@ -55,9 +55,7 @@ pub fn job_spec(id: &str, quick: bool) -> Option<JobSpec> {
     if !crate::EXPERIMENTS.contains(&id) {
         return None;
     }
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
+    let cores = swarm_stats::parallel::cores();
     let id_owned = id.to_string();
     // Full-fidelity runs replicate more and simulate longer; a uniform
     // scale factor preserves the quick-mode ordering.

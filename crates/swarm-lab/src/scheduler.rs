@@ -84,9 +84,7 @@ impl RunConfig {
     /// Defaults: as many workers as cores, a thread budget of all
     /// cores, cache on, salted by the running executable.
     pub fn new(out_dir: impl Into<PathBuf>) -> Self {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4);
+        let cores = parallel::cores();
         RunConfig {
             out_dir: out_dir.into(),
             workers: cores,

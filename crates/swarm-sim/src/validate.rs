@@ -7,6 +7,7 @@
 use crate::config::{Patience, SimConfig};
 use crate::experiment::{replicate, Replicated};
 use serde::{Deserialize, Serialize};
+use swarm_stats::parallel::cores;
 
 /// A model-vs-simulation comparison for one metric.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -36,7 +37,7 @@ pub fn patient_download_time(
         warmup: horizon * 0.05,
         ..SimConfig::from_params(p, Patience::Patient, 0, horizon, seed)
     };
-    let rep = replicate(&cfg, reps, num_threads());
+    let rep = replicate(&cfg, reps, cores());
     let cmp = Comparison {
         model: swarm_core::patient::download_time(p),
         simulated: rep.pooled.mean_download_time(),
@@ -56,18 +57,12 @@ pub fn impatient_unavailability(
         warmup: horizon * 0.05,
         ..SimConfig::from_params(p, Patience::Impatient, 0, horizon, seed)
     };
-    let rep = replicate(&cfg, reps, num_threads());
+    let rep = replicate(&cfg, reps, cores());
     let cmp = Comparison {
         model: swarm_core::impatient::unavailability(p),
         simulated: rep.pooled.blocked_fraction(),
     };
     (cmp, rep)
-}
-
-fn num_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
 }
 
 #[cfg(test)]

@@ -26,7 +26,7 @@
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// Per-thread tally of [`ThreadBudget::try_lease`] activity since the
@@ -180,6 +180,14 @@ impl Drop for Lease {
         let mut avail = self.budget.available.lock().expect("budget lock");
         *avail += self.granted;
     }
+}
+
+/// Cores this process may use: `available_parallelism()`, or 4 when it
+/// cannot be read. Computed on the first call and cached, since each
+/// query reads the cgroup files again.
+pub fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(4, |n| n.get()))
 }
 
 static GLOBAL_BUDGET: Mutex<Option<Arc<ThreadBudget>>> = Mutex::new(None);

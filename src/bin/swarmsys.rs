@@ -12,6 +12,7 @@
 
 use std::collections::HashMap;
 use std::process::ExitCode;
+use swarm_stats::parallel::cores;
 use swarmsys::model::bundling::{optimal_bundle_size, sweep};
 use swarmsys::model::params::{PublisherScaling, SwarmParams};
 use swarmsys::model::partition::{evaluate_partition, greedy_partition, CatalogFile, Environment};
@@ -242,7 +243,7 @@ fn cmd_simulate(flags: &HashMap<String, String>, json: bool) -> Result<(), Strin
         record_timeline: false,
     };
     let reps = opt(flags, "reps", 5.0)? as usize;
-    let rep = replicate(&cfg, reps.max(1), num_threads());
+    let rep = replicate(&cfg, reps.max(1), cores());
     let ci = rep.download_time_ci(0.95);
     if json {
         println!(
@@ -270,10 +271,4 @@ fn cmd_simulate(flags: &HashMap<String, String>, json: bool) -> Result<(), Strin
         );
     }
     Ok(())
-}
-
-fn num_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
 }

@@ -2,6 +2,7 @@
 //! what the flow-level simulator (swarm-sim) measures, across the model
 //! variants of §3.
 
+use swarm_stats::parallel::cores;
 use swarmsys::model::params::{PublisherScaling, SwarmParams};
 use swarmsys::model::{impatient, patient};
 use swarmsys::sim::{replicate, Patience, SimConfig};
@@ -21,12 +22,6 @@ fn sim_config(p: &SwarmParams, patience: Patience, seed: u64) -> SimConfig {
         warmup: 10_000.0,
         ..SimConfig::from_params(p, patience, 0, 300_000.0, seed)
     }
-}
-
-fn threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
 }
 
 #[test]
@@ -50,7 +45,7 @@ fn eq10_unavailability_matches_blocking_probability() {
         let rep = replicate(
             &sim_config(p, Patience::Impatient, 100 + i as u64),
             6,
-            threads(),
+            cores(),
         );
         let simulated = rep.pooled.blocked_fraction();
         let model = impatient::unavailability(p);
@@ -76,7 +71,7 @@ fn eq11_download_time_matches_patient_simulation() {
         let rep = replicate(
             &sim_config(p, Patience::Patient, 200 + i as u64),
             6,
-            threads(),
+            cores(),
         );
         let simulated = rep.pooled.mean_download_time();
         let model = patient::download_time(p);
@@ -90,7 +85,7 @@ fn eq11_download_time_matches_patient_simulation() {
 #[test]
 fn busy_period_lengths_match_the_model() {
     let p = base_swarm();
-    let rep = replicate(&sim_config(&p, Patience::Impatient, 300), 8, threads());
+    let rep = replicate(&sim_config(&p, Patience::Impatient, 300), 8, cores());
     let simulated = rep.pooled.busy_periods.mean();
     let model = impatient::busy_period(&p);
     assert!(
@@ -116,10 +111,10 @@ fn bundling_gain_is_visible_end_to_end() {
         "model disagrees with the paper"
     );
 
-    let t_single_sim = replicate(&sim_config(&single, Patience::Patient, 400), 5, threads())
+    let t_single_sim = replicate(&sim_config(&single, Patience::Patient, 400), 5, cores())
         .pooled
         .mean_download_time();
-    let t_bundle_sim = replicate(&sim_config(&bundle, Patience::Patient, 401), 5, threads())
+    let t_bundle_sim = replicate(&sim_config(&bundle, Patience::Patient, 401), 5, cores())
         .pooled
         .mean_download_time();
     assert!(
@@ -145,7 +140,7 @@ fn lingering_model_matches_lingering_simulation() {
         linger_mean: Some(1.0 / gamma),
         ..sim_config(&p, Patience::Impatient, 500)
     };
-    let rep = replicate(&cfg, 8, threads());
+    let rep = replicate(&cfg, 8, cores());
     let simulated = rep.pooled.blocked_fraction();
     assert!(
         ((simulated - model) / model).abs() < 0.2,
@@ -218,7 +213,7 @@ fn availability_fraction_consistent_with_unavailability() {
     // Time-average availability and the arriving-peer unavailability must
     // agree (PASTA again, at the availability-process level).
     let p = base_swarm();
-    let rep = replicate(&sim_config(&p, Patience::Impatient, 600), 6, threads());
+    let rep = replicate(&sim_config(&p, Patience::Impatient, 600), 6, cores());
     let avail_time = rep.pooled.availability;
     let p_model = impatient::unavailability(&p);
     assert!(
