@@ -82,7 +82,7 @@ pub fn run_experiment(id: &str, quick: bool) -> Option<Report> {
         "fig6b" => fig6::fig6b(quick),
         "fig6c" => fig6::fig6c(quick),
         "fig7" => fig7::run(quick),
-        "net-live" => net_live::run(quick),
+        "net-live" => net_live::run(),
         "ablation-threshold" => ablations::threshold_sensitivity(quick),
         "ablation-lingering" => ablations::lingering_ablation(quick),
         "ablation-zipf" => ablations::zipf_ablation(quick),

@@ -10,11 +10,8 @@
 //! telemetry pipeline: under `repro net-live --telemetry`, the sim's
 //! `bt.*` counters and the live engine's `net.*` counters land in the
 //! same run-level `metrics.json`, and `repro diff --sim-vs-live` gates
-//! their equality in CI.
-//!
-//! `quick` hosts every live endpoint on one thread; the full run gives
-//! each peer its own OS thread — by the engine's host-mode invariance
-//! the numbers must not move, so the mode is reported but not compared.
+//! their equality in CI. The scenarios are fixed, so quick and full runs
+//! are the same.
 
 use crate::output::Report;
 use serde_json::json;
@@ -29,31 +26,18 @@ const STEMS: [&str; 4] = [
     "availability.transitions",
 ];
 
-/// Run the sim-vs-live comparison. `quick` picks the single-threaded
-/// live host; the full run uses a thread per peer.
-pub fn run(quick: bool) -> Report {
+/// Run the sim-vs-live comparison.
+pub fn run() -> Report {
     let mut report = Report::new(
         "net-live",
         "Sim-vs-live equivalence (swarm-bt vs swarm-net loopback)",
     );
-    let mode = if quick {
-        HostMode::SingleThread
-    } else {
-        HostMode::ThreadPerPeer
-    };
-    report.line(format!(
-        "live host mode: {}",
-        match mode {
-            HostMode::SingleThread => "single thread",
-            HostMode::ThreadPerPeer => "thread per peer",
-        }
-    ));
 
     let mut rows = Vec::new();
     let mut all_equal = true;
     for (name, cfg) in scenarios::all(42) {
         let sim = swarm_bt::run(&cfg);
-        let live = run_live(&cfg, mode);
+        let live = run_live(&cfg, HostMode::SingleThread);
 
         // The live engine reports ticks directly; the sim's drain-free
         // scripted runs are exactly the horizon by construction.
@@ -106,7 +90,6 @@ pub fn run(quick: bool) -> Report {
     });
 
     report.set_data(json!({
-        "thread_per_peer": !quick,
         "scenarios": rows,
         "all_exact": all_equal,
     }));
@@ -158,7 +141,7 @@ mod tests {
 
     #[test]
     fn quick_run_agrees_exactly() {
-        let r = run(true);
+        let r = run();
         assert!(r.data["all_exact"].as_bool().unwrap(), "{}", r.text);
         let rows = r.data["scenarios"].as_array().unwrap();
         assert_eq!(rows.len(), 2);

@@ -5,14 +5,15 @@
 //! loop. Each participant — tracker, publisher, leechers — is a state
 //! machine speaking a length-prefixed wire format (handshake, bitfield,
 //! have, interested/choke, request/piece/cancel, tracker announce and
-//! scrape, PEX) over a pluggable transport:
+//! scrape, PEX) over one of two hosts:
 //!
-//! * **deterministic loopback** — in-process channels, barrier-paced
-//!   virtual time, `(sender, seq)`-ordered delivery, per-endpoint
-//!   ChaCha8 streams. Single-threaded and thread-per-peer hosts are
-//!   bit-identical, so live runs are reproducible and diffable.
+//! * **deterministic loopback** — every endpoint stepped in id order on
+//!   one thread in virtual ticks, frames delivered in (sender, send
+//!   order) at each tick's end, per-endpoint ChaCha8 streams, so live
+//!   runs are reproducible and diffable.
 //! * **real TCP** — the same cores over `std::net` sockets and a
-//!   wall-clock ticker, for smoke-testing the stack end to end.
+//!   wall-clock ticker, one thread per endpoint, for smoke-testing the
+//!   stack end to end.
 //!
 //! Piece selection and rechoking are the *same policy functions* the
 //! `swarm-bt` simulator calls ([`swarm_bt::policy`]), which is what
@@ -24,10 +25,10 @@
 //! `bt.*` twins exactly; `swarm-trace repro diff --sim-vs-live`
 //! enforces that equivalence in CI.
 //!
-//! No async runtime is involved: threads, channels and barriers only,
-//! in keeping with the workspace's vendored-dependency rule.
+//! No async runtime is involved: the loopback host is a plain loop and
+//! the TCP host uses OS threads, in keeping with the workspace's
+//! vendored-dependency rule.
 
-pub mod clock;
 pub mod http;
 pub mod peer;
 pub mod pex;
@@ -46,5 +47,5 @@ pub use tcp::{
     DEFAULT_STALL_TICKS,
 };
 pub use tracker::TrackerCore;
-pub use transport::{Envelope, LoopbackEndpoint, LoopbackHub, Transport};
+pub use transport::{Envelope, LoopbackHub};
 pub use wire::{decode, drain_frames, encode, Message, WireError};

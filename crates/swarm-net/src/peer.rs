@@ -4,9 +4,8 @@
 //! `swarm-bt` engine: it holds a bitfield, a neighbor table, and the
 //! tit-for-tat/rarest-first policy state — but it communicates *only*
 //! through wire [`Message`]s handed in and out by a host. The same core
-//! runs under the deterministic loopback coordinator, the threaded
-//! coordinator, and the TCP host; nothing in here knows which transport
-//! or clock is underneath.
+//! runs under the deterministic loopback coordinator and the TCP host;
+//! nothing in here knows which transport or clock is underneath.
 //!
 //! Piece selection and rechoking call the pure policy functions in
 //! [`swarm_bt::policy`] — the exact code the simulator runs — so sim and
@@ -16,10 +15,9 @@
 //!
 //! A core's behavior is a pure function of `(its ChaCha8 stream, the
 //! ordered inbox it is handed each tick)`. All iteration is over
-//! `BTreeMap`/sorted ids, never hash order, and the host guarantees the
-//! inbox order is `(sender id, sender sequence)` — so two hosts that
-//! deliver the same frames produce bit-identical cores regardless of
-//! thread scheduling.
+//! `BTreeMap`/sorted ids, never hash order, and the loopback host
+//! hands each inbox over in (sender id, send order), so a run that
+//! delivers the same frames produces bit-identical cores.
 
 use std::collections::{BTreeMap, BTreeSet};
 

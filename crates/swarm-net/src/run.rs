@@ -2,18 +2,12 @@
 //!
 //! Runs a scripted `BtConfig` scenario as a *networked* swarm: one
 //! [`TrackerCore`] plus one [`PeerCore`] per participant, exchanging
-//! encoded wire frames over a [`LoopbackHub`], paced by a
-//! [`VirtualClock`]. Two host modes exist and must be bit-identical:
-//!
-//! * [`HostMode::SingleThread`] — endpoints stepped in id order on the
-//!   caller's thread (the reference semantics);
-//! * [`HostMode::ThreadPerPeer`] — one OS thread per endpoint, fenced by
-//!   the clock's barrier each round.
-//!
-//! Identity holds because each endpoint touches only its own state
-//! during a round, frames become visible only at the round boundary in
-//! `(sender, sequence)` order, and all cross-peer aggregation happens on
-//! the coordinator between rounds, in id order.
+//! encoded wire frames over a [`LoopbackHub`] in virtual ticks. Each
+//! tick the coordinator sets the publisher's schedule, steps every
+//! endpoint in id order on the caller's thread, delivers the round's
+//! frames, and aggregates across endpoints in id order. A frame becomes
+//! readable only in the round after it was sent, in (sender, send
+//! order), so a run is a pure function of its config.
 //!
 //! Telemetry mirrors the sim's `bt.*` namespace as `net.*`: the
 //! deterministic counters (`net.ticks`, `net.arrivals`, …) carry the
@@ -23,13 +17,11 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use swarm_bt::{Bitfield, BtConfig, BtPublisher};
 
-use crate::clock::VirtualClock;
 use crate::peer::{PeerCore, PeerParams, PUBLISHER, TRACKER};
 use crate::tracker::TrackerCore;
 use crate::transport::LoopbackHub;
@@ -45,13 +37,14 @@ pub(crate) fn next_net_run_ordinal() -> u64 {
     NET_RUN_SEQ.fetch_add(1, Ordering::Relaxed)
 }
 
-/// How the deterministic host schedules endpoint work.
+/// How the deterministic host schedules endpoint work. There is one
+/// host, so one variant; the type and [`run_live`]'s argument remain
+/// because swarmbench's sources pass them, and those change only with
+/// the benchmark itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HostMode {
-    /// Endpoints stepped in id order on one thread.
+    /// Endpoints stepped in id order on the caller's thread.
     SingleThread,
-    /// One worker thread per endpoint, barrier-fenced per tick.
-    ThreadPerPeer,
 }
 
 /// Result of one live run — the networked twin of `BtResult`, carrying
@@ -89,9 +82,8 @@ pub struct NetResult {
     /// tests read them here to stay independent of global state.
     pub counters: BTreeMap<String, u64>,
     /// Tick-windowed counter deltas (the `"net"` time series), recorded
-    /// coordinator-side between rounds in id order — identical across
-    /// host modes by construction, and carried here so tests can
-    /// compare series without the global registry. Empty while
+    /// coordinator-side between rounds in id order, and carried here so
+    /// tests can compare series without the global registry. Empty while
     /// telemetry is off.
     #[serde(default)]
     pub timeseries: Vec<swarm_obs::Window>,
@@ -182,7 +174,7 @@ fn splitmix64(state: &mut u64) -> u64 {
 
 /// The private ChaCha8 stream of endpoint `id` under `seed`. Keyed the
 /// way swarm-catalog keys per-swarm streams, so per-endpoint randomness
-/// is independent of how many endpoints exist and of host mode.
+/// is independent of how many endpoints exist.
 pub fn peer_stream(seed: u64, id: u64) -> ChaCha8Rng {
     use rand::SeedableRng;
     let mut state = seed ^ id.wrapping_mul(0xA076_1D64_78BD_642F);
@@ -226,8 +218,17 @@ enum Endpoint {
     Peer(Box<PeerCore>),
 }
 
+impl Endpoint {
+    fn peer(&self) -> &PeerCore {
+        match self {
+            Endpoint::Peer(core) => core,
+            Endpoint::Tracker { .. } => unreachable!("endpoint 0 is the tracker"),
+        }
+    }
+}
+
 /// Drain, decode, step, encode, send — one endpoint's whole round.
-fn step_endpoint(ep: &mut Endpoint, id: usize, tick: u64, hub: &LoopbackHub) {
+fn step_endpoint(ep: &mut Endpoint, id: usize, tick: u64, hub: &mut LoopbackHub) {
     let inbox = hub.take_inbox(id);
     let mut msgs = Vec::with_capacity(inbox.len());
     for env in inbox {
@@ -272,7 +273,7 @@ fn validate_live(cfg: &BtConfig) -> &[(u64, f64)] {
 }
 
 /// Run the scripted scenario in `cfg` as a live networked swarm.
-pub fn run_live(cfg: &BtConfig, mode: HostMode) -> NetResult {
+pub fn run_live(cfg: &BtConfig, _mode: HostMode) -> NetResult {
     let script = validate_live(cfg);
     let run_ord = next_net_run_ordinal();
     let num_pieces = cfg.num_pieces();
@@ -290,33 +291,29 @@ pub fn run_live(cfg: &BtConfig, mode: HostMode) -> NetResult {
     // Endpoint layout: 0 tracker, 1 publisher, 2.. one leecher per
     // scripted arrival.
     let n = 2 + script.len();
-    let mut endpoints: Vec<Arc<Mutex<Endpoint>>> = Vec::with_capacity(n);
-    endpoints.push(Arc::new(Mutex::new(Endpoint::Tracker {
+    let mut endpoints: Vec<Endpoint> = Vec::with_capacity(n);
+    endpoints.push(Endpoint::Tracker {
         core: TrackerCore::new(cfg.tracker_response),
         rng: Box::new(peer_stream(cfg.seed, TRACKER as u64)),
-    })));
-    endpoints.push(Arc::new(Mutex::new(Endpoint::Peer(Box::new(
-        PeerCore::publisher(
-            PUBLISHER,
-            cfg.publisher_capacity,
-            params,
-            peer_stream(cfg.seed, PUBLISHER as u64),
-        ),
-    )))));
+    });
+    endpoints.push(Endpoint::Peer(Box::new(PeerCore::publisher(
+        PUBLISHER,
+        cfg.publisher_capacity,
+        params,
+        peer_stream(cfg.seed, PUBLISHER as u64),
+    ))));
     for (i, &(arrive, upload)) in script.iter().enumerate() {
         let id = 2 + i;
-        endpoints.push(Arc::new(Mutex::new(Endpoint::Peer(Box::new(
-            PeerCore::leecher(
-                id,
-                arrive,
-                upload,
-                cfg.download_cap,
-                params,
-                peer_stream(cfg.seed, id as u64),
-            ),
-        )))));
+        endpoints.push(Endpoint::Peer(Box::new(PeerCore::leecher(
+            id,
+            arrive,
+            upload,
+            cfg.download_cap,
+            params,
+            peer_stream(cfg.seed, id as u64),
+        ))));
     }
-    let hub = Arc::new(LoopbackHub::new(n));
+    let mut hub = LoopbackHub::new(n);
 
     if swarm_obs::enabled() {
         let publisher_kind = match cfg.publisher {
@@ -334,79 +331,32 @@ pub fn run_live(cfg: &BtConfig, mode: HostMode) -> NetResult {
                 ("seed", swarm_obs::val(cfg.seed)),
                 ("publisher", swarm_obs::val(publisher_kind)),
                 ("peers", swarm_obs::val(script.len() as u64)),
-                (
-                    "mode",
-                    swarm_obs::val(match mode {
-                        HostMode::SingleThread => "single_thread",
-                        HostMode::ThreadPerPeer => "thread_per_peer",
-                    }),
-                ),
             ],
         );
     }
 
     let mut agg = Aggregator::new(cfg, run_ord);
-    match mode {
-        HostMode::SingleThread => {
-            for tick in 0..cfg.horizon {
-                let t0 = std::time::Instant::now();
-                set_publisher(&endpoints[PUBLISHER], cfg, tick);
-                for (id, ep) in endpoints.iter().enumerate() {
-                    step_endpoint(&mut ep.lock().expect("endpoint poisoned"), id, tick, &hub);
-                }
-                hub.deliver_round();
-                agg.observe(tick, &endpoints);
-                if swarm_obs::enabled() {
-                    swarm_obs::histogram("stats.net.tick_ns").record_duration(t0.elapsed());
-                }
-            }
+    for tick in 0..cfg.horizon {
+        let t0 = std::time::Instant::now();
+        let Endpoint::Peer(publisher) = &mut endpoints[PUBLISHER] else {
+            unreachable!("endpoint 1 is the publisher")
+        };
+        publisher.set_online(publisher_online_at(&cfg.publisher, tick));
+        for (id, ep) in endpoints.iter_mut().enumerate() {
+            step_endpoint(ep, id, tick, &mut hub);
         }
-        HostMode::ThreadPerPeer => {
-            let clock = Arc::new(VirtualClock::new(n));
-            let mut workers = Vec::with_capacity(n);
-            for (id, ep) in endpoints.iter().enumerate() {
-                let ep = Arc::clone(ep);
-                let hub = Arc::clone(&hub);
-                let clock = Arc::clone(&clock);
-                workers.push(std::thread::spawn(move || {
-                    while let Some(tick) = clock.worker_begin() {
-                        step_endpoint(&mut ep.lock().expect("endpoint poisoned"), id, tick, &hub);
-                        clock.worker_end();
-                    }
-                }));
-            }
-            for tick in 0..cfg.horizon {
-                let t0 = std::time::Instant::now();
-                set_publisher(&endpoints[PUBLISHER], cfg, tick);
-                clock.begin_round(tick);
-                clock.end_round();
-                hub.deliver_round();
-                agg.observe(tick, &endpoints);
-                if swarm_obs::enabled() {
-                    swarm_obs::histogram("stats.net.tick_ns").record_duration(t0.elapsed());
-                }
-            }
-            clock.shutdown();
-            for w in workers {
-                w.join().expect("endpoint worker panicked");
-            }
+        hub.deliver_round();
+        agg.observe(tick, &endpoints);
+        if swarm_obs::enabled() {
+            swarm_obs::histogram("stats.net.tick_ns").record_duration(t0.elapsed());
         }
     }
     agg.finish(&endpoints)
 }
 
-fn set_publisher(ep: &Arc<Mutex<Endpoint>>, cfg: &BtConfig, tick: u64) {
-    let mut guard = ep.lock().expect("publisher poisoned");
-    let Endpoint::Peer(core) = &mut *guard else {
-        unreachable!("endpoint 1 is the publisher")
-    };
-    core.set_online(publisher_online_at(&cfg.publisher, tick));
-}
-
 /// Coordinator-side aggregation: the live twin of the sim's per-tick
 /// `account` (availability credit and transitions) + completion
-/// accounting. Runs strictly between rounds and iterates endpoints in id
-/// order, so it is identical across host modes by construction.
+/// accounting. Runs between rounds and iterates endpoints in id order.
 struct Aggregator {
     horizon: u64,
     warmup: u64,
@@ -453,7 +403,7 @@ impl Aggregator {
         }
     }
 
-    fn observe(&mut self, tick: u64, endpoints: &[Arc<Mutex<Endpoint>>]) {
+    fn observe(&mut self, tick: u64, endpoints: &[Endpoint]) {
         let leechers = endpoints.len() - 2;
         if self.arrival_seen.is_empty() {
             self.arrival_seen = vec![false; leechers];
@@ -461,17 +411,10 @@ impl Aggregator {
         }
         let mut union = Bitfield::new(self.num_pieces);
         // Cumulative kB received so far (publisher included, matching
-        // `finish`'s sum); summed in id order so the per-window deltas
-        // below are host-mode-invariant floats.
-        let mut cum_bytes = 0.0f64;
-        let pub_online = {
-            let guard = endpoints[PUBLISHER].lock().expect("publisher poisoned");
-            let Endpoint::Peer(core) = &*guard else {
-                unreachable!()
-            };
-            cum_bytes += core.bytes_received;
-            core.online
-        };
+        // `finish`'s sum), summed in id order.
+        let publisher = endpoints[PUBLISHER].peer();
+        let mut cum_bytes = publisher.bytes_received;
+        let pub_online = publisher.online;
         if pub_online && !self.publisher_was_on {
             self.publisher_on_since = tick;
         } else if !pub_online && self.publisher_was_on {
@@ -481,10 +424,7 @@ impl Aggregator {
         self.publisher_was_on = pub_online;
         let mut newly_done: Vec<u64> = Vec::new();
         for (i, ep) in endpoints.iter().enumerate().skip(2) {
-            let guard = ep.lock().expect("endpoint poisoned");
-            let Endpoint::Peer(core) = &*guard else {
-                unreachable!()
-            };
+            let core = ep.peer();
             let slot = i - 2;
             cum_bytes += core.bytes_received;
             if core.online {
@@ -532,8 +472,7 @@ impl Aggregator {
             self.last_available_tick = Some(tick);
         }
         // Windowed time series: per-tick deltas of the run totals this
-        // function maintains, all computed coordinator-side in id order
-        // — the host-mode invariance the loopback test enforces.
+        // function maintains, all computed coordinator-side in id order.
         if let Some(ts) = &mut self.ts {
             if ts.acc_ticks > 0 && tick / NET_TS_WINDOW != ts.acc_tick / NET_TS_WINDOW {
                 ts.flush();
@@ -566,7 +505,7 @@ impl Aggregator {
         }
     }
 
-    fn finish(mut self, endpoints: &[Arc<Mutex<Endpoint>>]) -> NetResult {
+    fn finish(mut self, endpoints: &[Endpoint]) -> NetResult {
         if self.publisher_was_on {
             self.publisher_intervals
                 .push((self.publisher_on_since, self.horizon));
@@ -574,22 +513,15 @@ impl Aggregator {
         let mut bytes_moved = 0.0;
         let mut messages = 0;
         let mut rechokes = 0;
-        for ep in endpoints.iter().skip(1) {
-            let guard = ep.lock().expect("endpoint poisoned");
-            let Endpoint::Peer(core) = &*guard else {
-                unreachable!()
-            };
+        for core in endpoints.iter().skip(1).map(Endpoint::peer) {
             bytes_moved += core.bytes_received;
             messages += core.messages_handled;
             rechokes += core.rechokes;
         }
-        let announces = {
-            let guard = endpoints[TRACKER].lock().expect("tracker poisoned");
-            let Endpoint::Tracker { core, .. } = &*guard else {
-                unreachable!()
-            };
-            core.announces
+        let Endpoint::Tracker { core, .. } = &endpoints[TRACKER] else {
+            unreachable!("endpoint 0 is the tracker")
         };
+        let announces = core.announces;
         let timeseries = match self.ts.take() {
             Some(mut ts) => {
                 ts.flush();

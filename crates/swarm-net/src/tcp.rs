@@ -2,7 +2,7 @@
 //!
 //! This host exists to prove the protocol stack is not a simulation
 //! artifact: [`PeerCore`] and [`TrackerCore`] run unmodified over real
-//! sockets, paced by a [`WallTicker`] instead of the virtual clock, with
+//! sockets, paced by a wall-clock ticker instead of virtual ticks, with
 //! frames carried by the identical wire codec. It is exercised by the
 //! loopback smoke test (2 seeds + 3 leechers on 127.0.0.1), which is
 //! `#[ignore]` by default and run by its own CI job — wall-clock runs
@@ -27,7 +27,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::clock::WallTicker;
 use crate::peer::{PeerCore, PeerParams, TRACKER};
 use crate::run::{next_net_run_ordinal, peer_stream};
 use crate::tracker::TrackerCore;
@@ -237,6 +236,28 @@ struct PeerShared {
     /// per-tick deltas, the metrics endpoint renders it, and the host
     /// merges it into the global registry at the end of the run.
     ts: Arc<Mutex<Recorder>>,
+}
+
+/// Wall-clock tick source: quantizes real elapsed time into ticks of
+/// `tick_ms` milliseconds, so the protocol logic sees the same tick
+/// domain as under the loopback coordinator.
+struct WallTicker {
+    start: Instant,
+    tick_ms: u64,
+}
+
+impl WallTicker {
+    fn new(tick_ms: u64) -> Self {
+        WallTicker {
+            start: Instant::now(),
+            tick_ms: tick_ms.max(1),
+        }
+    }
+
+    /// The tick the wall clock is currently inside.
+    fn current_tick(&self) -> u64 {
+        (self.start.elapsed().as_millis() as u64) / self.tick_ms
+    }
 }
 
 /// Per-run pacing and watchdog knobs, identical for every peer thread.
@@ -592,5 +613,18 @@ fn scrape(addr: SocketAddr, my_id: usize, pieces: usize) -> std::io::Result<(u32
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn wall_ticker_advances() {
+        let t = WallTicker::new(1);
+        let t0 = t.current_tick();
+        std::thread::sleep(Duration::from_millis(2));
+        assert!(t.current_tick() > t0);
     }
 }

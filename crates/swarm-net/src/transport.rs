@@ -1,159 +1,78 @@
-//! Pluggable message transports.
+//! The deterministic in-process message hub.
 //!
-//! [`Transport`] is the seam between protocol logic and byte movement:
-//! endpoints hand encoded frames to `send` and drain delivered frames
-//! with `take_inbox`. Two implementations exist — the deterministic
-//! in-process [`LoopbackHub`] below, and the real-socket TCP host in
-//! [`crate::tcp`] (which speaks to cores directly rather than through a
-//! hub object, but over the identical wire frames).
+//! Endpoints hand encoded frames to [`LoopbackHub::send`] and drain
+//! delivered frames with [`LoopbackHub::take_inbox`]. The real-socket
+//! host in [`crate::tcp`] moves the identical wire frames over
+//! `std::net` sockets instead.
 //!
 //! ## Determinism of the loopback hub
 //!
-//! The hub double-buffers: `send` drops an envelope into the *pending*
-//! lane (an `mpsc` channel per receiver — threads send without sharing
-//! locks), and nothing becomes readable until the coordinator calls
-//! [`LoopbackHub::deliver_round`] at the tick barrier. Delivery drains
-//! each pending lane and sorts by `(sender, per-sender sequence)` before
-//! appending to the receiver's inbox. Within one round every sender's
-//! own frames keep their send order (the sequence), and frames from
-//! different senders are ordered by sender id — never by thread arrival
-//! — so the delivered stream is a pure function of what was sent, not of
-//! how the OS scheduled the sending threads.
-
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Mutex;
+//! The hub double-buffers: `send` appends an envelope to the receiver's
+//! *pending* list, and nothing becomes readable until the coordinator
+//! calls [`LoopbackHub::deliver_round`] between ticks. The coordinator
+//! steps endpoints in id order, so each pending list already holds its
+//! frames ordered by sender, and within one sender in send order; the
+//! delivered stream is a pure function of what was sent.
 
 /// One framed message in flight.
 #[derive(Debug)]
 pub struct Envelope {
     pub from: usize,
-    /// Per-sender send ordinal — the deterministic tie-break for frames
-    /// from the same sender in the same round.
-    pub seq: u64,
     pub frame: Vec<u8>,
-}
-
-/// A frame sink/source pair, as seen by one endpoint.
-pub trait Transport {
-    /// Queue `frame` for `to`. Delivery semantics are transport-defined
-    /// (next virtual round for loopback, socket write for TCP).
-    fn send(&self, to: usize, frame: Vec<u8>);
-    /// Drain every frame delivered since the last call, in the
-    /// transport's delivery order.
-    fn take_inbox(&self) -> Vec<Envelope>;
-    /// This endpoint's id.
-    fn id(&self) -> usize;
-}
-
-struct Lane {
-    /// Pending sends targeting this endpoint (drained at the barrier).
-    tx: Sender<Envelope>,
-    rx: Mutex<Receiver<Envelope>>,
-    /// Delivered, readable frames.
-    inbox: Mutex<Vec<Envelope>>,
 }
 
 /// Deterministic in-process transport for `n` endpoints.
 pub struct LoopbackHub {
-    lanes: Vec<Lane>,
-    seq: Vec<AtomicU64>,
+    /// Frames sent this round, per receiver (moved at the round's end).
+    pending: Vec<Vec<Envelope>>,
+    /// Delivered, readable frames, per receiver.
+    inbox: Vec<Vec<Envelope>>,
 }
 
-// Sender<T> is !Sync, but every use here is behind &self with one clone
-// taken per send call; we instead guard by cloning under the hood:
-// mpsc Senders are Send+Clone, and each `send` clones from the stored
-// prototype. To keep LoopbackHub Sync we wrap the prototype in a Mutex.
 impl LoopbackHub {
     pub fn new(n: usize) -> Self {
-        let mut lanes = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = channel();
-            lanes.push(Lane {
-                tx,
-                rx: Mutex::new(rx),
-                inbox: Mutex::new(Vec::new()),
-            });
-        }
         LoopbackHub {
-            lanes,
-            seq: (0..n).map(|_| AtomicU64::new(0)).collect(),
+            pending: (0..n).map(|_| Vec::new()).collect(),
+            inbox: (0..n).map(|_| Vec::new()).collect(),
         }
-    }
-
-    pub fn endpoints(&self) -> usize {
-        self.lanes.len()
     }
 
     /// Queue a frame from `from` to `to`; readable after the next
     /// [`deliver_round`](LoopbackHub::deliver_round). Frames to unknown
-    /// endpoints are dropped (a closed socket, in TCP terms).
-    pub fn send(&self, from: usize, to: usize, frame: Vec<u8>) {
-        let Some(lane) = self.lanes.get(to) else {
+    /// endpoints are dropped (a closed socket, in TCP terms). Senders
+    /// must send in id order within a round.
+    pub fn send(&mut self, from: usize, to: usize, frame: Vec<u8>) {
+        let Some(lane) = self.pending.get_mut(to) else {
             return;
         };
-        let seq = self.seq[from].fetch_add(1, Ordering::Relaxed);
-        // Cloning the sender per call keeps the shared hub Sync without
-        // a lock on the hot path; mpsc channels are MPSC by design.
-        let _ = lane.tx.clone().send(Envelope { from, seq, frame });
+        debug_assert!(
+            lane.last().is_none_or(|e| e.from <= from),
+            "endpoints must send in id order within a round"
+        );
+        lane.push(Envelope { from, frame });
     }
 
-    /// Coordinator only, between barriers: move every pending frame into
-    /// its receiver's inbox in `(sender, seq)` order.
-    pub fn deliver_round(&self) {
-        for lane in &self.lanes {
-            let rx = lane.rx.lock().expect("pending lane poisoned");
-            let mut batch: Vec<Envelope> = rx.try_iter().collect();
-            drop(rx);
-            if batch.is_empty() {
-                continue;
-            }
-            batch.sort_by_key(|e| (e.from, e.seq));
-            lane.inbox.lock().expect("inbox poisoned").extend(batch);
+    /// Coordinator only, between rounds: move every pending frame into
+    /// its receiver's inbox, in (sender, send order).
+    pub fn deliver_round(&mut self) {
+        for (pending, inbox) in self.pending.iter_mut().zip(&mut self.inbox) {
+            inbox.append(pending);
         }
     }
 
     /// Drain endpoint `id`'s delivered frames.
-    pub fn take_inbox(&self, id: usize) -> Vec<Envelope> {
-        std::mem::take(&mut *self.lanes[id].inbox.lock().expect("inbox poisoned"))
-    }
-
-    /// Discard endpoint `id`'s delivered frames (an offline endpoint's
-    /// connections are down; frames addressed to it vanish).
-    pub fn drop_inbox(&self, id: usize) {
-        self.lanes[id].inbox.lock().expect("inbox poisoned").clear();
-    }
-}
-
-/// Endpoint-scoped view of a shared hub, for code written against the
-/// [`Transport`] trait.
-pub struct LoopbackEndpoint {
-    pub hub: std::sync::Arc<LoopbackHub>,
-    pub id: usize,
-}
-
-impl Transport for LoopbackEndpoint {
-    fn send(&self, to: usize, frame: Vec<u8>) {
-        self.hub.send(self.id, to, frame);
-    }
-
-    fn take_inbox(&self) -> Vec<Envelope> {
-        self.hub.take_inbox(self.id)
-    }
-
-    fn id(&self) -> usize {
-        self.id
+    pub fn take_inbox(&mut self, id: usize) -> Vec<Envelope> {
+        std::mem::take(&mut self.inbox[id])
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn nothing_is_readable_before_delivery() {
-        let hub = LoopbackHub::new(2);
+        let mut hub = LoopbackHub::new(2);
         hub.send(0, 1, vec![1]);
         assert!(hub.take_inbox(1).is_empty());
         hub.deliver_round();
@@ -164,56 +83,37 @@ mod tests {
     }
 
     #[test]
-    fn delivery_order_is_sender_then_seq_not_thread_arrival() {
-        // 4 sender threads race 25 frames each at endpoint 0; delivery
-        // order must be exactly (sender asc, seq asc) regardless of how
-        // the race interleaved.
-        let hub = Arc::new(LoopbackHub::new(5));
-        let mut handles = Vec::new();
-        for sender in 1..5usize {
-            let hub = Arc::clone(&hub);
-            handles.push(std::thread::spawn(move || {
-                for k in 0..25u8 {
-                    hub.send(sender, 0, vec![sender as u8, k]);
+    fn delivery_is_in_sender_then_send_order() {
+        // Senders 1..4 each send three frames to every receiver, in id
+        // order as the coordinator steps them; one delivery hands each
+        // receiver its frames grouped by sender, each group in send order.
+        let mut hub = LoopbackHub::new(4);
+        for sender in 1..4usize {
+            for k in 0..3u8 {
+                for to in 0..4 {
+                    hub.send(sender, to, vec![sender as u8, k]);
                 }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
+            }
         }
         hub.deliver_round();
-        let got = hub.take_inbox(0);
-        assert_eq!(got.len(), 100);
-        let order: Vec<(usize, u64)> = got.iter().map(|e| (e.from, e.seq)).collect();
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        assert_eq!(order, sorted, "delivery must ignore thread arrival order");
-        // And each sender's payloads arrive in its own send order.
-        for sender in 1..5usize {
-            let payloads: Vec<u8> = got
-                .iter()
-                .filter(|e| e.from == sender)
-                .map(|e| e.frame[1])
+        let want: Vec<(usize, Vec<u8>)> = (1..4usize)
+            .flat_map(|s| (0..3u8).map(move |k| (s, vec![s as u8, k])))
+            .collect();
+        for to in 0..4 {
+            let got: Vec<(usize, Vec<u8>)> = hub
+                .take_inbox(to)
+                .into_iter()
+                .map(|e| (e.from, e.frame))
                 .collect();
-            let expect: Vec<u8> = (0..25).collect();
-            assert_eq!(payloads, expect);
+            assert_eq!(got, want, "receiver {to}");
         }
     }
 
     #[test]
     fn frames_to_unknown_endpoints_are_dropped() {
-        let hub = LoopbackHub::new(1);
+        let mut hub = LoopbackHub::new(1);
         hub.send(0, 9, vec![1, 2, 3]); // no such endpoint; must not panic
         hub.deliver_round();
         assert!(hub.take_inbox(0).is_empty());
-    }
-
-    #[test]
-    fn drop_inbox_models_an_offline_endpoint() {
-        let hub = LoopbackHub::new(2);
-        hub.send(0, 1, vec![7]);
-        hub.deliver_round();
-        hub.drop_inbox(1);
-        assert!(hub.take_inbox(1).is_empty());
     }
 }

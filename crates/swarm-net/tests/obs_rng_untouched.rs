@@ -20,45 +20,29 @@ fn telemetry_probes_leave_the_protocol_untouched() {
     swarm_obs::set_enabled(true);
     for (name, cfg) in scenarios::all(42) {
         let sim = run_sim(&cfg);
-        let single = run_live(&cfg, HostMode::SingleThread);
-        let threaded = run_live(&cfg, HostMode::ThreadPerPeer);
+        let on = run_live(&cfg, HostMode::SingleThread);
         let (_, off) = baseline.iter().find(|(n, _)| *n == name).unwrap();
 
         // Obs-on vs obs-off: identical deterministic outcome.
-        assert_eq!(off.counters, single.counters, "{name}: counters drifted");
+        assert_eq!(off.counters, on.counters, "{name}: counters drifted");
         assert_eq!(
             off.availability.to_bits(),
-            single.availability.to_bits(),
+            on.availability.to_bits(),
             "{name}: availability"
         );
         assert_eq!(
             off.bytes_moved.to_bits(),
-            single.bytes_moved.to_bits(),
+            on.bytes_moved.to_bits(),
             "{name}: bytes moved"
         );
-        assert_eq!(off.completion_curve, single.completion_curve, "{name}");
-        assert_eq!(off.messages, single.messages, "{name}: message counts");
+        assert_eq!(off.completion_curve, on.completion_curve, "{name}");
+        assert_eq!(off.messages, on.messages, "{name}: message counts");
 
         // Sim-vs-live exactness still holds with probes on.
-        assert_eq!(sim.arrivals, single.arrivals, "{name}: arrivals");
-        assert_eq!(sim.completions, single.completions, "{name}: completions");
-        assert_eq!(
-            sim.availability, single.availability,
-            "{name}: availability"
-        );
-        assert_eq!(
-            sim.publisher_intervals, single.publisher_intervals,
-            "{name}"
-        );
-
-        // Host modes stay bit-identical with probes on.
-        assert_eq!(single.counters, threaded.counters, "{name}: host modes");
-        assert_eq!(
-            single.bytes_moved.to_bits(),
-            threaded.bytes_moved.to_bits(),
-            "{name}: host-mode bytes"
-        );
-        assert_eq!(single.completion_curve, threaded.completion_curve, "{name}");
+        assert_eq!(sim.arrivals, on.arrivals, "{name}: arrivals");
+        assert_eq!(sim.completions, on.completions, "{name}: completions");
+        assert_eq!(sim.availability, on.availability, "{name}: availability");
+        assert_eq!(sim.publisher_intervals, on.publisher_intervals, "{name}");
     }
 
     // The probes did fire: lifecycle events reached the sink.

@@ -26,9 +26,9 @@ use swarm_obs::Snapshot;
 /// fixed seed? Engine/simulator/Monte-Carlo counters are, as are the
 /// catalog runtime's shard-batched counters (integer sums over
 /// per-swarm RNG streams, invariant in shard count and steal order) and
-/// the live network engine's `net.*` counters (barrier-fenced virtual
-/// time, `(sender, seq)`-ordered delivery — thread-order invariant by
-/// construction); anything timing-derived (`*_ns`, `*_ms`) or
+/// the live network engine's `net.*` counters (endpoints stepped in id
+/// order in virtual time, frames delivered in (sender, send order));
+/// anything timing-derived (`*_ns`, `*_ms`) or
 /// scheduler-dependent (`lab.*`, `stats.*`, `span.*`, gauges) is not.
 /// The live engine keeps its wall-clock/scheduling metrics under
 /// `stats.net.*` with `_ns` suffixes, so they never enter this domain.

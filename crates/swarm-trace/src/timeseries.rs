@@ -30,8 +30,8 @@ use swarm_obs::{Recorder, Window};
 /// Availability fraction below which a window counts as a dip.
 pub const DIP_THRESHOLD: f64 = 0.5;
 
-/// Is this series expected to be bit-identical across machines, shard
-/// counts and host modes for a fixed seed? Virtual-tick series are;
+/// Is this series expected to be bit-identical across machines and
+/// shard counts for a fixed seed? Virtual-tick series are;
 /// anything recorded off the wall clock (the TCP smoke host's
 /// `net.tcp`) is not and must stay out of the diff gate.
 pub fn is_deterministic_series(name: &str) -> bool {
