@@ -14,12 +14,13 @@
 //! ## Determinism contract
 //!
 //! A core's behavior is a pure function of `(its ChaCha8 stream, the
-//! ordered inbox it is handed each tick)`. All iteration is over
-//! `BTreeMap`/sorted ids, never hash order, and the loopback host
-//! hands each inbox over in (sender id, send order), so a run that
-//! delivers the same frames produces bit-identical cores.
+//! ordered inbox it is handed each tick)`. All iteration is over sorted
+//! ids, never hash order: the neighbor table is a `Vec` kept in
+//! ascending endpoint id. The loopback host hands each inbox over in
+//! (sender id, send order), so a run that delivers the same frames
+//! produces bit-identical cores.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use rand_chacha::ChaCha8Rng;
 use swarm_bt::{policy, Bitfield};
@@ -159,8 +160,9 @@ fn kb_to_bytes(kb: f64) -> u64 {
     (kb * 1024.0).round() as u64
 }
 
-/// What we know about one neighbor, keyed by endpoint id in
-/// [`PeerCore::neighbors`].
+/// What we know about one neighbor: one entry of a peer's
+/// [`NeighborTable`], which keys it by endpoint id. A peer keeps it
+/// until the peer itself departs.
 #[derive(Debug, Clone)]
 struct Neighbor {
     bitfield: Bitfield,
@@ -216,6 +218,68 @@ impl Neighbor {
     }
 }
 
+/// A peer's neighbors as `(endpoint id, state)` pairs in a `Vec` sorted
+/// by id: lookups binary-search, inserts keep the order, and iteration
+/// is ascending by id, so RNG draws and frames follow a fixed order.
+#[derive(Debug, Default)]
+struct NeighborTable(Vec<(usize, Neighbor)>);
+
+impl NeighborTable {
+    fn position(&self, id: usize) -> Result<usize, usize> {
+        self.0.binary_search_by_key(&id, |&(k, _)| k)
+    }
+
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    fn contains(&self, id: usize) -> bool {
+        self.position(id).is_ok()
+    }
+
+    fn get(&self, id: usize) -> Option<&Neighbor> {
+        self.position(id).ok().map(|i| &self.0[i].1)
+    }
+
+    fn get_mut(&mut self, id: usize) -> Option<&mut Neighbor> {
+        self.position(id).ok().map(|i| &mut self.0[i].1)
+    }
+
+    /// Add a neighbor not yet in the table at its place in id order.
+    fn insert(&mut self, id: usize, n: Neighbor) {
+        let at = self.position(id).expect_err("neighbor ids are unique");
+        self.0.insert(at, (id, n));
+    }
+
+    fn capacity(&self) -> usize {
+        self.0.capacity()
+    }
+
+    fn is_strictly_ascending(&self) -> bool {
+        self.0.windows(2).all(|w| w[0].0 < w[1].0)
+    }
+
+    fn ids(&self) -> impl Iterator<Item = usize> + '_ {
+        self.0.iter().map(|&(id, _)| id)
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (usize, &Neighbor)> {
+        self.0.iter().map(|(id, n)| (*id, n))
+    }
+
+    fn iter_mut(&mut self) -> impl Iterator<Item = (usize, &mut Neighbor)> {
+        self.0.iter_mut().map(|(id, n)| (*id, n))
+    }
+
+    fn values(&self) -> impl Iterator<Item = &Neighbor> {
+        self.0.iter().map(|(_, n)| n)
+    }
+
+    fn values_mut(&mut self) -> impl Iterator<Item = &mut Neighbor> {
+        self.0.iter_mut().map(|(_, n)| n)
+    }
+}
+
 /// One peer's complete protocol state.
 pub struct PeerCore {
     pub id: usize,
@@ -239,7 +303,7 @@ pub struct PeerCore {
     received_this_tick: f64,
     /// Total kB accepted (the receiver-side "bytes moved" truth).
     pub bytes_received: f64,
-    neighbors: BTreeMap<usize, Neighbor>,
+    neighbors: NeighborTable,
     rng: ChaCha8Rng,
     needs_announce: bool,
     /// Frames processed (for the run report).
@@ -273,7 +337,7 @@ impl PeerCore {
             download_cap,
             received_this_tick: 0.0,
             bytes_received: 0.0,
-            neighbors: BTreeMap::new(),
+            neighbors: NeighborTable::default(),
             rng,
             needs_announce: false,
             messages_handled: 0,
@@ -297,7 +361,7 @@ impl PeerCore {
             download_cap: 0.0,
             received_this_tick: 0.0,
             bytes_received: 0.0,
-            neighbors: BTreeMap::new(),
+            neighbors: NeighborTable::default(),
             rng,
             needs_announce: false,
             messages_handled: 0,
@@ -326,6 +390,7 @@ impl PeerCore {
         }
     }
 
+    /// Entries in the neighbor table; 0 once the peer has departed.
     pub fn neighbor_count(&self) -> usize {
         self.neighbors.len()
     }
@@ -341,6 +406,34 @@ impl PeerCore {
     /// `out` as `(destination endpoint, message)` — the host encodes and
     /// sends them.
     pub fn step(
+        &mut self,
+        tick: u64,
+        inbox: Vec<(usize, Message)>,
+        out: &mut Vec<(usize, Message)>,
+    ) {
+        self.run_tick(tick, inbox, out);
+        // Checked after every tick, whichever way it ended: offline,
+        // departed mid-inbox, or run to the end.
+        debug_assert!(
+            self.neighbors.is_strictly_ascending(),
+            "peer {}: neighbor ids out of order",
+            self.id
+        );
+        debug_assert!(
+            self.neighbors.len() <= self.params.max_neighbors,
+            "peer {}: {} neighbors over the cap of {}",
+            self.id,
+            self.neighbors.len(),
+            self.params.max_neighbors
+        );
+        debug_assert!(
+            !self.departed || (self.neighbors.capacity() == 0 && self.progress.capacity() == 0),
+            "peer {}: departed but still holds its neighbor table or progress",
+            self.id
+        );
+    }
+
+    fn run_tick(
         &mut self,
         tick: u64,
         inbox: Vec<(usize, Message)>,
@@ -390,7 +483,7 @@ impl PeerCore {
         }
         if self.params.pex_interval > 0 && tick > 0 && tick.is_multiple_of(self.params.pex_interval)
         {
-            let ids: Vec<usize> = self.neighbors.keys().copied().collect();
+            let ids: Vec<usize> = self.neighbors.ids().collect();
             if let Some(partner) = pex::pick_partner(&ids, &mut self.rng) {
                 if let Some(pr) = self.probes {
                     pr.pex_requests.inc();
@@ -427,13 +520,13 @@ impl PeerCore {
             .neighbors
             .iter()
             .filter(|(_, n)| n.they_interested)
-            .map(|(&id, _)| id)
+            .map(|(id, _)| id)
             .collect();
         let neighbors = &self.neighbors;
         let chosen = policy::rechoke_order(
             &mut interested,
             self.is_publisher,
-            |id| neighbors.get(&id).map_or(0.0, |n| n.recv_prev),
+            |id| neighbors.get(id).map_or(0.0, |n| n.recv_prev),
             self.params.unchoke_slots,
             self.params.optimistic_slots,
             &mut self.rng,
@@ -441,7 +534,7 @@ impl PeerCore {
         let unchoked: BTreeSet<usize> = interested[..chosen].iter().copied().collect();
         let probes = self.probes;
         let my_id = self.id;
-        for (&id, n) in self.neighbors.iter_mut() {
+        for (id, n) in self.neighbors.iter_mut() {
             let want_open = unchoked.contains(&id);
             if want_open != n.we_choke_them {
                 continue;
@@ -484,16 +577,14 @@ impl PeerCore {
             .values()
             .filter_map(|n| n.our_request.map(|(p, _)| p as usize))
             .collect();
-        let ids: Vec<usize> = self.neighbors.keys().copied().collect();
-        for id in ids {
+        for (id, n) in self.neighbors.iter_mut() {
             // Expire a stalled request so the piece can be re-sourced —
             // and snub the silent neighbor (treat it as choking us) so
             // the freed piece is requested from someone alive instead of
             // bouncing back to a dead endpoint forever. An `Unchoke`
             // from the neighbor revives it.
-            if let Some((p, stamp)) = self.neighbors[&id].our_request {
+            if let Some((p, stamp)) = n.our_request {
                 if tick.saturating_sub(stamp) >= REQUEST_TIMEOUT {
-                    let n = self.neighbors.get_mut(&id).unwrap();
                     n.our_request = None;
                     n.they_choke_us = true;
                     n.snubbed = true;
@@ -511,7 +602,6 @@ impl PeerCore {
                     out.push((id, Message::Cancel { piece: p }));
                 }
             }
-            let n = &self.neighbors[&id];
             if !n.we_interested || n.they_choke_us || n.our_request.is_some() {
                 continue;
             }
@@ -532,7 +622,6 @@ impl PeerCore {
             };
             if let Some(p) = pick {
                 in_flight.insert(p);
-                let n = self.neighbors.get_mut(&id).unwrap();
                 n.our_request = Some((p as u32, tick));
                 n.requested_at = tick;
                 if let Some(pr) = self.probes {
@@ -552,7 +641,7 @@ impl PeerCore {
             .neighbors
             .iter()
             .filter(|(_, n)| !n.we_choke_them)
-            .filter_map(|(&id, n)| n.their_request.map(|p| (id, p)))
+            .filter_map(|(id, n)| n.their_request.map(|p| (id, p)))
             .collect();
         if active.is_empty() || self.upload_cap <= 0.0 {
             return;
@@ -561,7 +650,10 @@ impl PeerCore {
         let my_id = self.id;
         for (id, piece) in active {
             if let Some(pr) = self.probes {
-                let n = self.neighbors.get_mut(&id).unwrap();
+                let n = self
+                    .neighbors
+                    .get_mut(id)
+                    .expect("active ids come from the table");
                 if !n.serve_logged {
                     // First frame of a service episode: one serve event
                     // per request, however many ticks the stream takes.
@@ -607,7 +699,7 @@ impl PeerCore {
                     }
                     return;
                 }
-                if self.neighbors.contains_key(&from) {
+                if self.neighbors.contains(from) {
                     // Reply leg of a handshake we initiated (or a
                     // simultaneous open): the connection is now paired
                     // on this side, no frames owed.
@@ -636,14 +728,17 @@ impl PeerCore {
                 }
             }
             Message::Bitfield(bf) => {
-                if bf.len() != self.params.num_pieces || !self.neighbors.contains_key(&from) {
+                if bf.len() != self.params.num_pieces {
                     return;
                 }
-                self.neighbors.get_mut(&from).unwrap().bitfield = bf.clone();
+                let Some(n) = self.neighbors.get_mut(from) else {
+                    return;
+                };
+                n.bitfield = bf.clone();
                 self.update_interest(from, out);
             }
             Message::Have { piece } => {
-                let Some(n) = self.neighbors.get_mut(&from) else {
+                let Some(n) = self.neighbors.get_mut(from) else {
                     return;
                 };
                 if (*piece as usize) < self.params.num_pieces {
@@ -652,18 +747,18 @@ impl PeerCore {
                 }
             }
             Message::Interested => {
-                if let Some(n) = self.neighbors.get_mut(&from) {
+                if let Some(n) = self.neighbors.get_mut(from) {
                     n.they_interested = true;
                 }
             }
             Message::NotInterested => {
-                if let Some(n) = self.neighbors.get_mut(&from) {
+                if let Some(n) = self.neighbors.get_mut(from) {
                     n.they_interested = false;
                     n.their_request = None;
                 }
             }
             Message::Choke => {
-                if let Some(n) = self.neighbors.get_mut(&from) {
+                if let Some(n) = self.neighbors.get_mut(from) {
                     if let Some(pr) = probes {
                         let mut ev = pr.conn(tick, my_id, from, ConnPhase::Choke);
                         ev.dir = Some(Dir::Rx);
@@ -681,7 +776,7 @@ impl PeerCore {
                 }
             }
             Message::Unchoke => {
-                if let Some(n) = self.neighbors.get_mut(&from) {
+                if let Some(n) = self.neighbors.get_mut(from) {
                     n.they_choke_us = false;
                     if let Some(pr) = probes {
                         let mut ev = pr.conn(tick, my_id, from, ConnPhase::Unchoke);
@@ -702,7 +797,7 @@ impl PeerCore {
                 if !self.bitfield.has(*piece as usize) {
                     return;
                 }
-                if let Some(n) = self.neighbors.get_mut(&from) {
+                if let Some(n) = self.neighbors.get_mut(from) {
                     n.their_request = Some(*piece);
                     n.serve_logged = false;
                     if let Some(pr) = probes {
@@ -715,7 +810,7 @@ impl PeerCore {
                 self.receive_piece(from, *piece, *bytes, tick, out);
             }
             Message::Cancel { piece } => {
-                if let Some(n) = self.neighbors.get_mut(&from) {
+                if let Some(n) = self.neighbors.get_mut(from) {
                     if n.their_request == Some(*piece) {
                         n.their_request = None;
                     }
@@ -727,7 +822,7 @@ impl PeerCore {
                 }
             }
             Message::PexRequest => {
-                let ids: Vec<usize> = self.neighbors.keys().copied().collect();
+                let ids: Vec<usize> = self.neighbors.ids().collect();
                 let peers = pex::share_list(&ids, from, &mut self.rng);
                 if let Some(pr) = probes {
                     pr.pex_replies.inc();
@@ -744,7 +839,7 @@ impl PeerCore {
     fn connect(&mut self, pid: usize, tick: u64, out: &mut Vec<(usize, Message)>) {
         if pid == self.id
             || pid == TRACKER
-            || self.neighbors.contains_key(&pid)
+            || self.neighbors.contains(pid)
             || self.neighbors.len() >= self.params.max_neighbors
         {
             return;
@@ -767,7 +862,7 @@ impl PeerCore {
 
     /// Recompute our interest in `from` and emit the delta if it flipped.
     fn update_interest(&mut self, from: usize, out: &mut Vec<(usize, Message)>) {
-        let Some(n) = self.neighbors.get_mut(&from) else {
+        let Some(n) = self.neighbors.get_mut(from) else {
             return;
         };
         let now = !self.is_publisher
@@ -812,7 +907,7 @@ impl PeerCore {
         self.progress[p] += take;
         self.received_this_tick += take;
         self.bytes_received += take;
-        if let Some(n) = self.neighbors.get_mut(&from) {
+        if let Some(n) = self.neighbors.get_mut(from) {
             n.recv_window += take;
             if let Some(pr) = probes {
                 let c = *n
@@ -837,7 +932,7 @@ impl PeerCore {
             // from the neighbor we had the request open at.
             let latency = self
                 .neighbors
-                .get(&from)
+                .get(from)
                 .filter(|n| n.our_request.is_some_and(|(rp, _)| rp == piece))
                 .map(|n| tick.saturating_sub(n.requested_at));
             pr.pieces_completed.inc();
@@ -856,9 +951,7 @@ impl PeerCore {
             }
             .emit();
         }
-        let ids: Vec<usize> = self.neighbors.keys().copied().collect();
-        for &id in &ids {
-            let n = self.neighbors.get_mut(&id).unwrap();
+        for (id, n) in self.neighbors.iter_mut() {
             if let Some((rp, _)) = n.our_request {
                 if rp == piece {
                     // Cancel everyone, the server of the final bytes
@@ -876,7 +969,8 @@ impl PeerCore {
             }
             out.push((id, Message::Have { piece }));
         }
-        for &id in &ids {
+        let ids: Vec<usize> = self.neighbors.ids().collect();
+        for id in ids {
             self.update_interest(id, out);
         }
         if self.bitfield.is_complete() {
@@ -889,10 +983,14 @@ impl PeerCore {
     /// the protocol-level connection close: it instantly clears any
     /// request a neighbor had pointed at us, so nobody waits out a
     /// request timeout on a peer that no longer exists.
+    ///
+    /// A departed peer keeps only what the host and the aggregator read:
+    /// its flags, arrival and completion ticks, counters and bitfield.
+    /// Its neighbor table and per-piece progress are freed, so the heap
+    /// follows the live swarm rather than every peer that ever arrived.
     fn complete(&mut self, tick: u64, out: &mut Vec<(usize, Message)>) {
         self.completed = Some(tick + 1);
-        let ids: Vec<usize> = self.neighbors.keys().copied().collect();
-        for id in ids {
+        for id in self.neighbors.ids() {
             if let Some(pr) = self.probes {
                 pr.conn_closed.inc();
                 let mut ev = pr.conn(tick, self.id, id, ConnPhase::Close);
@@ -919,6 +1017,8 @@ impl PeerCore {
         ));
         self.departed = true;
         self.online = false;
+        self.neighbors = NeighborTable::default();
+        self.progress = Vec::new();
     }
 }
 
@@ -952,6 +1052,42 @@ mod tests {
         let mut out = Vec::new();
         core.step(tick, inbox, &mut out);
         out
+    }
+
+    #[test]
+    fn neighbor_table_agrees_with_a_btreemap() {
+        use rand::Rng;
+        use std::collections::btree_map::{BTreeMap, Entry};
+        let mut r = rng(9);
+        let mut table = NeighborTable::default();
+        let mut map = BTreeMap::new();
+        for step in 0..4_000u64 {
+            let id = r.gen_range(0..300usize);
+            if r.gen_bool(0.4) {
+                if let Entry::Vacant(slot) = map.entry(id) {
+                    let mut n = Neighbor::new(8);
+                    n.requested_at = step;
+                    table.insert(id, n.clone());
+                    slot.insert(n);
+                }
+            } else {
+                assert_eq!(table.contains(id), map.contains_key(&id), "id {id}");
+                let got = table.get(id).map(|n| format!("{n:?}"));
+                assert_eq!(got, map.get(&id).map(|n| format!("{n:?}")), "id {id}");
+                if let (Some(a), Some(b)) = (table.get_mut(id), map.get_mut(&id)) {
+                    a.recv_window += step as f64;
+                    b.recv_window += step as f64;
+                }
+            }
+            assert_eq!(table.len(), map.len());
+        }
+        assert!(table.len() > 200, "the sequence fills most of the id range");
+        let got: Vec<(usize, String)> =
+            table.iter().map(|(id, n)| (id, format!("{n:?}"))).collect();
+        let want: Vec<(usize, String)> =
+            map.iter().map(|(&id, n)| (id, format!("{n:?}"))).collect();
+        assert_eq!(got, want, "same entries in the same order");
+        assert!(table.ids().eq(map.keys().copied()));
     }
 
     #[test]

@@ -13,6 +13,12 @@
 //! steps endpoints in id order, so each pending list already holds its
 //! frames ordered by sender, and within one sender in send order; the
 //! delivered stream is a pure function of what was sent.
+//!
+//! ## Memory
+//!
+//! Delivery hands each pending list over to its receiver whole, and the
+//! receiver drains it, so a lane holds one round's frames at most and
+//! keeps no capacity from its busiest round.
 
 /// One framed message in flight.
 #[derive(Debug)]
@@ -53,10 +59,16 @@ impl LoopbackHub {
     }
 
     /// Coordinator only, between rounds: move every pending frame into
-    /// its receiver's inbox, in (sender, send order).
+    /// its receiver's inbox, in (sender, send order). An empty inbox
+    /// takes the pending list itself, leaving the lane with no capacity;
+    /// an undrained one has the frames appended after its own.
     pub fn deliver_round(&mut self) {
         for (pending, inbox) in self.pending.iter_mut().zip(&mut self.inbox) {
-            inbox.append(pending);
+            if inbox.is_empty() {
+                *inbox = std::mem::take(pending);
+            } else {
+                inbox.append(pending);
+            }
         }
     }
 
@@ -107,6 +119,20 @@ mod tests {
                 .collect();
             assert_eq!(got, want, "receiver {to}");
         }
+    }
+
+    #[test]
+    fn delivery_hands_the_lane_over_and_keeps_undrained_frames_first() {
+        let mut hub = LoopbackHub::new(2);
+        hub.send(0, 1, vec![1]);
+        hub.deliver_round();
+        assert_eq!(hub.pending[1].capacity(), 0, "the lane went to the inbox");
+        // Endpoint 1 skips a round: the next round's frames queue behind
+        // the undelivered ones.
+        hub.send(0, 1, vec![2]);
+        hub.deliver_round();
+        let got: Vec<Vec<u8>> = hub.take_inbox(1).into_iter().map(|e| e.frame).collect();
+        assert_eq!(got, vec![vec![1], vec![2]]);
     }
 
     #[test]
