@@ -9,7 +9,7 @@
 //! Generates a catalog (full mode: ~1% of the paper's 1.09M-swarm
 //! snapshot, i.e. >10K swarms serving on the order of a million peer
 //! arrivals over a 7-month horizon), then ticks the *entire* catalog
-//! through `swarm-catalog`'s work-stealing shard pool at each thread
+//! through `swarm-catalog`'s shared-counter shard pool at each thread
 //! count, checking two things:
 //!
 //! * **Invariance** — every deterministic output (the serialized

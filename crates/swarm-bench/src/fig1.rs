@@ -1,15 +1,24 @@
 //! E1 — Figure 1: CDF of seed availability across the monitored swarms.
 //!
 //! Every swarm of the catalog is walked from its creation through the
-//! sharded catalog runtime (`swarm-catalog`), event-driven on the
-//! work-stealing shard pool; the numbers are bit-identical at any
-//! thread count.
+//! sharded catalog runtime (`swarm-catalog`), event-driven on its
+//! shared-counter shard pool. Beside the CDFs the report gives the
+//! walk's catalog-wide totals: downloads served, lingering seeds,
+//! seed-process toggles, dwell events and swarms seeded at the end.
+//! Every number is bit-identical at any thread count.
 
 use crate::output::Report;
 use serde_json::json;
 use swarm_catalog::{availability_study, run_catalog, CatalogRunConfig};
 use swarm_measurement::{generate_catalog, CatalogConfig};
 use swarm_stats::ascii::{line_chart, Series};
+
+/// Worker threads for the catalog experiments: every available core,
+/// bounded so a huge machine doesn't oversubscribe the lab scheduler's
+/// own workers.
+pub(crate) fn worker_threads() -> usize {
+    swarm_stats::parallel::cores().min(8)
+}
 
 /// Regenerate Figure 1. `quick` shrinks the catalog.
 pub fn run(quick: bool) -> Report {
@@ -22,11 +31,12 @@ pub fn run(quick: bool) -> Report {
         &CatalogRunConfig {
             catalog_seed: 1003,
             months,
-            threads: crate::catalog_live::worker_threads(),
+            threads: worker_threads(),
             start_at_generated_age: false,
         },
     );
     let study = availability_study(&run);
+    let lingered: u64 = run.per_swarm.iter().map(|s| s.lingered).sum();
 
     let first: Vec<(f64, f64)> = study.first_month.curve(0.0, 1.0, 41);
     let whole: Vec<(f64, f64)> = study.whole_trace.curve(0.0, 1.0, 41);
@@ -51,8 +61,9 @@ pub fn run(quick: bool) -> Report {
         mostly_off * 100.0
     ));
     report.line(format!(
-        "downloads served: {} | seed-process toggles: {}",
+        "downloads served: {} | lingered as seeds: {} | seed-process toggles: {}",
         run.total_arrivals(),
+        lingered,
         run.total_toggles()
     ));
 
@@ -64,7 +75,10 @@ pub fn run(quick: bool) -> Report {
         "first_month_cdf": first,
         "whole_trace_cdf": whole,
         "arrivals": run.total_arrivals(),
+        "lingered": lingered,
         "toggles": run.total_toggles(),
+        "events": run.per_swarm.iter().map(|s| s.events).sum::<u64>(),
+        "final_on": run.per_swarm.iter().filter(|s| s.final_on).count(),
         "paper": {
             "always_available_first_month": "< 0.35",
             "mostly_unavailable_whole_trace": "~ 0.80",
@@ -86,5 +100,6 @@ mod tests {
         assert!(mostly > 0.5, "mostly unavailable {mostly}");
         assert!(r.text.contains("CDF"));
         assert!(r.data["arrivals"].as_u64().unwrap() > 0);
+        assert!(r.data["toggles"].as_u64().unwrap() > 0);
     }
 }

@@ -18,7 +18,6 @@ fn quick_cost(id: &str) -> f64 {
         "fig6b" => 1.4,
         "ablation-bias" => 1.2,
         "fig1" => 1.1,
-        "catalog-live" => 0.4,
         "ablation-selection" | "fig5" | "fig6c" => 0.7,
         "ablation-threshold" => 0.35,
         "fig4" => 0.2,
@@ -34,7 +33,6 @@ fn is_replicated(id: &str) -> bool {
     matches!(
         id,
         "fig1"
-            | "catalog-live"
             | "table-books"
             | "table-friends"
             | "fig4"

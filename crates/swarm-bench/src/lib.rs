@@ -5,7 +5,6 @@
 //! | id | paper artifact |
 //! |----|----------------|
 //! | `fig1` | Figure 1 — CDF of seed availability |
-//! | `catalog-live` | E1 substrate — sharded catalog runtime aggregates |
 //! | `table-bundling` | §2.3.1 — extent of bundling |
 //! | `table-books` | §2.3.2 — books vs collections |
 //! | `table-friends` | §2.3.2 — the "Friends" case study |
@@ -20,7 +19,6 @@
 //! | `ablation-*` | A1–A6 from DESIGN.md |
 
 pub mod ablations;
-pub mod catalog_live;
 pub mod fig1;
 pub mod fig2;
 pub mod fig3;
@@ -38,7 +36,6 @@ use output::Report;
 /// All experiment ids, in paper order.
 pub const EXPERIMENTS: &[&str] = &[
     "fig1",
-    "catalog-live",
     "table-bundling",
     "table-books",
     "table-friends",
@@ -69,7 +66,6 @@ pub const EXPERIMENTS: &[&str] = &[
 pub fn run_experiment(id: &str, quick: bool) -> Option<Report> {
     Some(match id {
         "fig1" => fig1::run(quick),
-        "catalog-live" => catalog_live::run(quick),
         "table-bundling" => tables::bundling_table(quick),
         "table-books" => tables::books_table(quick),
         "table-friends" => tables::friends_table(quick),

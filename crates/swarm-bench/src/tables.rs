@@ -74,7 +74,7 @@ pub fn books_table(quick: bool) -> Report {
         &CatalogRunConfig {
             catalog_seed: 2006,
             months: 7,
-            threads: crate::catalog_live::worker_threads(),
+            threads: crate::fig1::worker_threads(),
             start_at_generated_age: true,
         },
     );
@@ -146,7 +146,7 @@ pub fn friends_table(_quick: bool) -> Report {
     let s = show_case_study(52, 28.0 / 52.0, &mut rng);
     // The same case study with the snapshot simulated by the catalog
     // runtime instead of sampled from the stationary law.
-    let live = friends_case_live(52, 28.0 / 52.0, 2005, crate::catalog_live::worker_threads());
+    let live = friends_case_live(52, 28.0 / 52.0, 2005, crate::fig1::worker_threads());
     report.block(table2(
         ("metric", "value (paper)"),
         &[

@@ -5,9 +5,9 @@
 //! `swarm_measurement::observe`, and runs it over the whole generated
 //! catalog:
 //!
-//! * [`runtime`] — the sharded engine. The whole catalog is partitioned
-//!   across a work-stealing shard pool (built on
-//!   `swarm_stats::parallel::run_stealing`, which leases its workers
+//! * [`runtime`] — the sharded engine. Workers take the catalog's
+//!   swarms one at a time from a shared counter (built on
+//!   `swarm_stats::parallel::run_sharded`, which leases its workers
 //!   from the process-wide [`ThreadBudget`]). Each swarm advances
 //!   *event-driven*: seed-present/seedless dwell times are drawn
 //!   directly from the alternating-renewal process, so a quiescent
@@ -17,8 +17,8 @@
 //!   quiescence fast-forward.
 //! * Determinism: every swarm owns a private ChaCha8 stream derived
 //!   from `(catalog_seed, swarm_id)` via SplitMix64, so results are
-//!   bit-identical no matter how many shards run or how work is stolen
-//!   between them.
+//!   bit-identical no matter how many shards run or which shard walks
+//!   which swarm.
 //! * [`obsbatch`] — shard-local telemetry batching: plain (non-atomic)
 //!   counters and histogram snapshots accumulated per shard, flushed to
 //!   the global `swarm-obs` registry once at the shard barrier, with

@@ -6,7 +6,7 @@
 //! [`ShardObs`]: plain integer counters plus local
 //! [`HistogramSnapshot`]s, all touched without synchronization, and
 //! flushed to the registry exactly once — at the shard barrier, when
-//! the work-stealing pool hands the shard state back.
+//! the worker finds no swarm left and hands its state back.
 //!
 //! Tick latencies are additionally windowed: every [`TICK_WINDOW`]
 //! simulated swarms the shard records the window's *average* latency
@@ -17,7 +17,7 @@
 //!
 //! Everything deterministic lands under `catalog.*` — those counters
 //! are integer sums over per-swarm values and therefore invariant in
-//! shard count and steal order; `swarm-trace` treats the `catalog.`
+//! shard count and in which worker ran which swarm; `swarm-trace` treats the `catalog.`
 //! prefix as part of its deterministic domain and CI diffs it across
 //! thread counts. Scheduling-dependent telemetry (flush counts, tick
 //! latency) lands under `stats.*` or carries a `_ns` suffix, both of

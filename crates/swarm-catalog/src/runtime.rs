@@ -15,7 +15,7 @@
 //! Every swarm draws from a private ChaCha8 stream keyed by
 //! `(catalog_seed, swarm_id)` (see [`swarm_stream`]), and every field of
 //! [`SwarmSummary`] is accumulated sequentially inside that swarm's own
-//! walk. Shard assignment, shard count and steal order therefore cannot
+//! walk. Shard assignment and shard count therefore cannot
 //! perturb any summary: a run at 8 threads is bit-identical to a
 //! 1-thread run. Anything aggregated *across* swarms must either be an
 //! integer sum (order-independent) or be computed serially in id order
@@ -32,7 +32,7 @@ use swarm_measurement::observe::{
     demand_decay, seed_process, HOURS_PER_MONTH, PARAM_REFRESH_HOURS,
 };
 use swarm_measurement::Swarm;
-use swarm_stats::parallel::run_stealing;
+use swarm_stats::parallel::run_sharded;
 
 /// Default root seed for per-swarm streams.
 pub const DEFAULT_CATALOG_SEED: u64 = 0xCA7A_1065;
@@ -295,17 +295,17 @@ pub fn simulate_swarm_recorded(
 
 /// Tick the entire catalog.
 ///
-/// Swarms are partitioned in contiguous blocks across the shard pool;
-/// idle shards steal from busy ones, and each shard batches its
-/// telemetry locally, flushing to the global registry exactly once at
-/// the shard barrier (see [`ShardObs`]). Swarm ids must be dense and
-/// equal to their index (the catalog generator guarantees this).
+/// Each worker of [`run_sharded`] takes the next swarm from a shared
+/// counter and batches its telemetry locally, flushing to the global
+/// registry exactly once at the shard barrier (see [`ShardObs`]).
+/// Swarm ids must be dense and equal to their index (the catalog
+/// generator guarantees this).
 pub fn run_catalog(swarms: &[Swarm], cfg: &CatalogRunConfig) -> CatalogRun {
     for (i, s) in swarms.iter().enumerate() {
         assert_eq!(s.id, i as u64, "catalog ids must be dense");
     }
     let start = Instant::now();
-    let per_swarm = run_stealing(
+    let per_swarm = run_sharded(
         swarms.len(),
         cfg.threads,
         ShardObs::new,

@@ -1,7 +1,7 @@
 //! Integration tests for the sharded catalog runtime.
 //!
-//! The contract under test: the number of shards and the steal order
-//! must not change a single bit of any result — per-swarm summaries,
+//! The contract under test: the number of shards and which shard walks
+//! which swarm must not change a single bit of any result — per-swarm summaries,
 //! deterministic `catalog.*` counters, or the downloads histogram. The
 //! `swarm-obs` registry and enable switch are process-wide and the test
 //! harness is multi-threaded, so every test that runs the engine holds

@@ -42,10 +42,7 @@ pub mod wire;
 pub use http::{http_get, render_exposition, serve_metrics, watch_main};
 pub use peer::{PeerCore, PeerParams, MIN_NEIGHBORS, PUBLISHER, REQUEST_TIMEOUT, TRACKER};
 pub use run::{peer_stream, publisher_online_at, run_live, HostMode, NetResult, NET_TS_WINDOW};
-pub use tcp::{
-    run_tcp_smoke, run_tcp_smoke_with, TcpSmokeOpts, TcpSmokeReport, DEFAULT_HEALTH_INTERVAL,
-    DEFAULT_STALL_TICKS,
-};
+pub use tcp::{run_tcp_smoke_with, TcpSmokeOpts, TcpSmokeReport};
 pub use tracker::TrackerCore;
 pub use transport::{Envelope, LoopbackHub};
 pub use wire::{decode, drain_frames, encode, Message, WireError};

@@ -33,12 +33,12 @@ use crate::tracker::TrackerCore;
 use crate::wire::{self, Message};
 use swarm_obs::Recorder;
 
-/// Default ticks between `net.health` snapshots per peer thread, and
-/// the width of the `"net.tcp"` recorder windows.
-pub const DEFAULT_HEALTH_INTERVAL: u64 = 20;
-/// Default ticks without download progress before an incomplete online
-/// leecher is flagged stalled.
-pub const DEFAULT_STALL_TICKS: u64 = 40;
+/// Ticks between `net.health` snapshots per peer thread, and the width
+/// of the `"net.tcp"` recorder windows.
+const HEALTH_INTERVAL: u64 = 20;
+/// Ticks without download progress before an incomplete online leecher
+/// is flagged stalled.
+const STALL_TICKS: u64 = 40;
 
 /// Outcome of one TCP smoke run.
 #[derive(Debug, Clone)]
@@ -58,16 +58,6 @@ pub struct TcpSmokeReport {
 /// Host-level options for [`run_tcp_smoke_with`].
 #[derive(Debug, Clone)]
 pub struct TcpSmokeOpts {
-    /// When the run ends with leechers still incomplete and recording
-    /// is on, dump the whole event sink (header + JSONL) here — the
-    /// flight-recorder black box for post-mortem `repro trace`.
-    pub flight_dump: Option<std::path::PathBuf>,
-    /// Ticks between `net.health` snapshots per peer thread; also the
-    /// window width of the `"net.tcp"` time series.
-    pub health_interval: u64,
-    /// Ticks without download progress before an incomplete online
-    /// leecher is flagged stalled.
-    pub stall_ticks: u64,
     /// Serve a live Prometheus-style `GET /metrics` text exposition on
     /// `127.0.0.1:<port>` for the duration of the run (`0` lets the OS
     /// pick; the bound address lands in [`TcpSmokeReport::metrics_addr`]
@@ -76,18 +66,6 @@ pub struct TcpSmokeOpts {
     /// Receives the bound metrics address as soon as the exposition
     /// endpoint is up, so callers can poll it *while the swarm runs*.
     pub on_metrics_addr: Option<std::sync::mpsc::Sender<SocketAddr>>,
-}
-
-impl Default for TcpSmokeOpts {
-    fn default() -> Self {
-        TcpSmokeOpts {
-            flight_dump: None,
-            health_interval: DEFAULT_HEALTH_INTERVAL,
-            stall_ticks: DEFAULT_STALL_TICKS,
-            metrics_port: None,
-            on_metrics_addr: None,
-        }
-    }
 }
 
 struct Conn {
@@ -260,14 +238,12 @@ impl WallTicker {
     }
 }
 
-/// Per-run pacing and watchdog knobs, identical for every peer thread.
+/// Per-run pacing, identical for every peer thread.
 #[derive(Clone, Copy)]
 struct PeerPacing {
     tick_ms: u64,
     max_ticks: u64,
     run: u64,
-    health_interval: u64,
-    stall_ticks: u64,
 }
 
 fn peer_thread(mut core: PeerCore, listener: TcpListener, shared: PeerShared, pacing: PeerPacing) {
@@ -339,7 +315,7 @@ fn peer_thread(mut core: PeerCore, listener: TcpListener, shared: PeerShared, pa
                     .fetch_max(core.completed.unwrap_or(0), Ordering::Relaxed);
             }
             // Download-progress watchdog: an online, incomplete leecher
-            // whose byte total has not moved for `stall_ticks` is
+            // whose byte total has not moved for `STALL_TICKS` is
             // stalled. One event per episode; any progress re-arms the
             // detector.
             let mut just_stalled = false;
@@ -351,7 +327,7 @@ fn peer_thread(mut core: PeerCore, listener: TcpListener, shared: PeerShared, pa
                 && !core.is_publisher
                 && core.online
                 && core.completed.is_none()
-                && tick.saturating_sub(last_progress_tick) >= pacing.stall_ticks
+                && tick.saturating_sub(last_progress_tick) >= STALL_TICKS
             {
                 stalled = true;
                 just_stalled = true;
@@ -395,7 +371,7 @@ fn peer_thread(mut core: PeerCore, listener: TcpListener, shared: PeerShared, pa
                 ts_prev_bytes = bytes;
                 ts_prev_pieces = pieces_now;
             }
-            if swarm_obs::enabled() && tick.is_multiple_of(pacing.health_interval) {
+            if swarm_obs::enabled() && tick.is_multiple_of(HEALTH_INTERVAL) {
                 swarm_obs::emit(
                     "net.health",
                     &[
@@ -418,24 +394,6 @@ fn peer_thread(mut core: PeerCore, listener: TcpListener, shared: PeerShared, pa
 /// Run a small real-TCP swarm on 127.0.0.1: `seeds` full peers plus
 /// `leechers` empty ones, one tracker, OS-assigned ports. Returns once
 /// every leecher completed or `max_ticks` wall ticks elapsed.
-pub fn run_tcp_smoke(
-    seeds: usize,
-    leechers: usize,
-    num_pieces: usize,
-    tick_ms: u64,
-    max_ticks: u64,
-) -> std::io::Result<TcpSmokeReport> {
-    run_tcp_smoke_with(
-        seeds,
-        leechers,
-        num_pieces,
-        tick_ms,
-        max_ticks,
-        &TcpSmokeOpts::default(),
-    )
-}
-
-/// [`run_tcp_smoke`] with host-level options (flight-recorder dump).
 pub fn run_tcp_smoke_with(
     seeds: usize,
     leechers: usize,
@@ -445,10 +403,6 @@ pub fn run_tcp_smoke_with(
     opts: &TcpSmokeOpts,
 ) -> std::io::Result<TcpSmokeReport> {
     assert!(seeds >= 1 && leechers >= 1 && num_pieces >= 1);
-    assert!(
-        opts.health_interval >= 1 && opts.stall_ticks >= 1,
-        "intervals must be positive"
-    );
     let run = next_net_run_ordinal();
     let params = PeerParams {
         num_pieces,
@@ -467,7 +421,7 @@ pub fn run_tcp_smoke_with(
     let slowest = Arc::new(AtomicU64::new(0));
     // Window the live series at the health cadence: recorder windows
     // are the structured replacement for eyeballing health snapshots.
-    let ts = Arc::new(Mutex::new(Recorder::new(opts.health_interval)));
+    let ts = Arc::new(Mutex::new(Recorder::new(HEALTH_INTERVAL)));
 
     // Live exposition endpoint, up before the swarm starts so watchers
     // never race the run.
@@ -529,8 +483,6 @@ pub fn run_tcp_smoke_with(
             tick_ms,
             max_ticks,
             run,
-            health_interval: opts.health_interval,
-            stall_ticks: opts.stall_ticks,
         };
         handles.push(std::thread::spawn(move || {
             peer_thread(core, listener, shared, pacing)
@@ -562,18 +514,6 @@ pub fn run_tcp_smoke_with(
         }
     }
     let done = completions.load(Ordering::Relaxed);
-    if done < leechers as u64 {
-        if let Some(path) = &opts.flight_dump {
-            if swarm_obs::enabled() {
-                // Post-mortem black box: everything still in the ring,
-                // header first, ready for `repro trace`/`net-report`.
-                let events = swarm_obs::drain_all();
-                let mut text = swarm_obs::header_line();
-                text.push_str(&swarm_obs::to_jsonl(&events));
-                let _ = std::fs::write(path, text);
-            }
-        }
-    }
     Ok(TcpSmokeReport {
         completions: done,
         census,

@@ -49,7 +49,6 @@ fn two_seeds_three_leechers_complete_over_loopback_tcp() {
     let opts = TcpSmokeOpts {
         metrics_port: Some(0),
         on_metrics_addr: Some(addr_tx),
-        ..TcpSmokeOpts::default()
     };
     let report = run_tcp_smoke_with(2, 3, 8, 20, 500, &opts).expect("smoke swarm failed to run");
     let events = swarm_obs::drain_all();

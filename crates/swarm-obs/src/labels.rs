@@ -23,7 +23,7 @@
 use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock, RwLock};
 
-use crate::metrics::{Counter, Gauge, Histogram};
+use crate::metrics::{Counter, Gauge};
 
 /// Interned label id. `Copy`, cheap to store per connection/peer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -93,8 +93,6 @@ pub struct Family<T: 'static> {
 pub type CounterFamily = Family<Counter>;
 /// Family of [`Gauge`]s.
 pub type GaugeFamily = Family<Gauge>;
-/// Family of [`Histogram`]s.
-pub type HistogramFamily = Family<Histogram>;
 
 impl<T> Family<T> {
     /// The family name (the part before `{label}`).
@@ -134,7 +132,6 @@ impl<T> Family<T> {
 struct FamilyRegistry {
     counters: Mutex<BTreeMap<String, &'static CounterFamily>>,
     gauges: Mutex<BTreeMap<String, &'static GaugeFamily>>,
-    histograms: Mutex<BTreeMap<String, &'static HistogramFamily>>,
 }
 
 fn family_registry() -> &'static FamilyRegistry {
@@ -169,15 +166,6 @@ pub fn counter_family(name: &str) -> &'static CounterFamily {
 /// The gauge family registered under `name` (created on first use).
 pub fn gauge_family(name: &str) -> &'static GaugeFamily {
     intern_family(&family_registry().gauges, name, crate::metrics::gauge)
-}
-
-/// The histogram family registered under `name` (created on first use).
-pub fn histogram_family(name: &str) -> &'static HistogramFamily {
-    intern_family(
-        &family_registry().histograms,
-        name,
-        crate::metrics::histogram,
-    )
 }
 
 #[cfg(test)]

@@ -51,8 +51,8 @@ pub mod span;
 pub mod timeseries;
 
 pub use labels::{
-    counter_family, family_metric_name, gauge_family, histogram_family, label, split_family_metric,
-    CounterFamily, Family, GaugeFamily, HistogramFamily, Label,
+    counter_family, family_metric_name, gauge_family, label, split_family_metric, CounterFamily,
+    Family, GaugeFamily, Label,
 };
 pub use lifecycle::{
     ConnEvent, ConnPhase, Dir, ReqEvent, ReqPhase, XferEvent, XferPhase, CONN_KIND, REQ_KIND,
@@ -68,8 +68,8 @@ pub use sink::{
 };
 pub use span::{current_job, job_scope, span, span_labeled, JobScope, Span};
 pub use timeseries::{
-    drain_series, merge_series, merge_series_owned, parse_timeseries, series_to_jsonl,
-    snapshot_series, take_series, Recorder, Window,
+    drain_series, merge_series, merge_series_owned, parse_timeseries, series_to_jsonl, take_series,
+    Recorder, Window,
 };
 
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};

@@ -493,11 +493,6 @@ pub fn drain_series() -> BTreeMap<String, Recorder> {
     std::mem::take(&mut *registry())
 }
 
-/// A copy of every global series, leaving the registry untouched.
-pub fn snapshot_series() -> BTreeMap<String, Recorder> {
-    registry().clone()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

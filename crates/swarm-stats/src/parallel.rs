@@ -1,14 +1,14 @@
-//! Deterministic index-ordered parallel map for replicated experiments,
-//! plus the process-wide thread budget that keeps nested parallelism from
-//! oversubscribing the machine.
+//! Deterministic index-ordered parallel map for replicated experiments
+//! and the catalog walk, plus the process-wide thread budget that keeps
+//! nested parallelism from oversubscribing the machine.
 //!
-//! Both simulators replicate runs across worker threads; the worker pool
-//! used to be duplicated (crossbeam-based) in each crate. This is the
-//! shared implementation on `std::thread::scope`: a shared atomic counter
-//! hands out indices, results come back over a channel tagged with their
-//! index, and the output is assembled in index order — so the result is
+//! [`run_sharded`] is the one map, on `std::thread::scope`: the caller's
+//! thread and any extra workers take indices from one shared atomic
+//! counter and write each result into its index's slot, so the output is
 //! identical to the serial `(0..n).map(job)` regardless of thread count
-//! or scheduling.
+//! or scheduling. Workers may carry state that is flushed once when they
+//! finish; [`run_indexed`] is the stateless form the simulators use to
+//! replicate runs.
 //!
 //! # Thread budget
 //!
@@ -18,15 +18,14 @@
 //! would oversubscribe the machine by a factor of the number of live
 //! jobs. [`ThreadBudget`] is a process-wide allocator of core permits:
 //! an orchestrator installs one with [`set_global_budget`], and every
-//! `run_indexed` call then *leases* its extra worker threads from the
-//! budget, degrading gracefully (down to an inline, single-threaded run)
-//! when the budget is exhausted. Because `run_indexed` is deterministic
+//! [`run_sharded`] call then *leases* its extra worker threads from the
+//! budget, degrading gracefully (down to a run on the caller's thread
+//! alone) when the budget is exhausted. Because the map is deterministic
 //! in its thread count, the clamping never changes results.
 
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// Per-thread tally of [`ThreadBudget::try_lease`] activity since the
@@ -81,7 +80,7 @@ pub fn lease_stats() -> LeaseStats {
 }
 
 /// A process-wide budget of compute threads, shared by every
-/// [`run_indexed`] call while installed via [`set_global_budget`].
+/// [`run_sharded`] call while installed via [`set_global_budget`].
 ///
 /// Permits are handed out non-blockingly: a [`ThreadBudget::try_lease`]
 /// grants *up to* the requested number of permits (possibly zero) and
@@ -98,8 +97,8 @@ pub struct ThreadBudget {
 
 impl ThreadBudget {
     /// A budget of `total` compute threads. A zero budget is legal and
-    /// simply grants nothing: every [`run_indexed`]/[`run_stealing`]
-    /// call degrades to an inline run on the caller's own thread.
+    /// simply grants nothing: every [`run_sharded`] call degrades to a
+    /// run on the caller's own thread.
     pub fn new(total: usize) -> Self {
         ThreadBudget {
             total,
@@ -193,7 +192,7 @@ pub fn cores() -> usize {
 static GLOBAL_BUDGET: Mutex<Option<Arc<ThreadBudget>>> = Mutex::new(None);
 
 /// Install (or, with `None`, remove) the process-wide budget consulted
-/// by every [`run_indexed`] call. Returns the previously installed
+/// by every [`run_sharded`] call. Returns the previously installed
 /// budget so orchestrators can restore it when they finish.
 pub fn set_global_budget(budget: Option<Arc<ThreadBudget>>) -> Option<Arc<ThreadBudget>> {
     std::mem::replace(
@@ -207,136 +206,34 @@ pub fn global_budget() -> Option<Arc<ThreadBudget>> {
     GLOBAL_BUDGET.lock().expect("budget registry lock").clone()
 }
 
-/// Run `job(0..n)` on up to `threads` scoped worker threads and return
-/// the results in index order. `threads == 1` (or `n <= 1`) runs inline
-/// with no thread overhead; the output is the same either way.
-///
-/// While a global [`ThreadBudget`] is installed, the caller's own thread
-/// is considered already funded and the `threads - 1` extra workers are
-/// leased from the budget — so the call may run with fewer threads (down
-/// to one, inline) than asked for. Results are identical regardless.
+/// Run `job(0..n)` on up to `threads` threads and return the results
+/// in index order: [`run_sharded`] with no per-worker state.
 pub fn run_indexed<T, F>(n: usize, threads: usize, job: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    assert!(threads >= 1, "need at least one thread");
-    let extra_wanted = threads.saturating_sub(1).min(n.saturating_sub(1));
-    let lease = match global_budget() {
-        Some(budget) if extra_wanted > 0 => Some(budget.try_lease(extra_wanted)),
-        _ => None,
-    };
-    let threads = lease.as_ref().map_or(threads, |l| 1 + l.granted());
-    if threads == 1 || n <= 1 {
-        return (0..n).map(job).collect();
-    }
-
-    let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let (tx, rx) = mpsc::channel::<(usize, T)>();
-        for _ in 0..threads.min(n) {
-            let tx = tx.clone();
-            let next = &next;
-            let job = &job;
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                tx.send((i, job(i))).expect("collector alive");
-            });
-        }
-        drop(tx);
-        for (i, r) in rx {
-            slots[i] = Some(r);
-        }
-    });
-    drop(lease);
-    slots
-        .into_iter()
-        .map(|s| s.expect("every index was dispatched exactly once"))
-        .collect()
+    run_sharded(n, threads, |_| (), |(), i| job(i), |_, ()| ())
 }
 
-/// Per-worker task deques for [`run_stealing`]: worker `w` owns deque
-/// `w`, pops its own tasks from the front, and — when empty — steals
-/// from the *back* of a victim's deque (the classic owner/thief split
-/// that keeps contention off the hot end).
+/// Run `job` over tasks `0..n` on up to `threads` workers and return
+/// the results in index order, identical to the serial
+/// `(0..n).map(...)` regardless of thread count or scheduling.
 ///
-/// The deques are plain mutex-protected `VecDeque`s rather than a
-/// lock-free Chase–Lev structure: tasks here are whole swarm or
-/// replication simulations (microseconds to milliseconds each), so one
-/// short uncontended lock per task is noise, and the mutex keeps the
-/// invariant obvious — every index is executed exactly once.
-struct StealQueues {
-    queues: Vec<Mutex<VecDeque<usize>>>,
-    steals: AtomicUsize,
-}
-
-impl StealQueues {
-    /// Partition `0..n` into `workers` contiguous blocks, one deque per
-    /// worker. Contiguity matters for cache locality of whatever the
-    /// caller indexes by task id.
-    fn partition(n: usize, workers: usize) -> StealQueues {
-        let mut queues: Vec<Mutex<VecDeque<usize>>> = Vec::with_capacity(workers);
-        let base = n / workers;
-        let extra = n % workers;
-        let mut next = 0usize;
-        for w in 0..workers {
-            let len = base + usize::from(w < extra);
-            queues.push(Mutex::new((next..next + len).collect()));
-            next += len;
-        }
-        debug_assert_eq!(next, n);
-        StealQueues {
-            queues,
-            steals: AtomicUsize::new(0),
-        }
-    }
-
-    /// Next task for worker `w`: its own front, else steal from the
-    /// back of the first non-empty victim (scanning `w+1, w+2, ...`
-    /// round-robin). `None` means every deque is empty — since tasks
-    /// are never re-enqueued, the worker can exit.
-    fn next_task(&self, w: usize) -> Option<usize> {
-        if let Some(i) = self.queues[w].lock().expect("steal deque").pop_front() {
-            return Some(i);
-        }
-        let k = self.queues.len();
-        for off in 1..k {
-            let victim = (w + off) % k;
-            if let Some(i) = self.queues[victim].lock().expect("steal deque").pop_back() {
-                self.steals.fetch_add(1, Ordering::Relaxed);
-                return Some(i);
-            }
-        }
-        None
-    }
-}
-
-/// Run `job` over tasks `0..n` on a work-stealing shard pool and return
-/// the results in index order.
+/// The caller's thread runs worker 0. While a global [`ThreadBudget`]
+/// is installed that thread counts as already funded, and workers 1 and
+/// up are leased from the budget, so the call may run with fewer
+/// workers (down to the caller's thread alone) than asked for. Each
+/// worker takes its next task from one shared counter and writes the
+/// result straight into the task's slot, so a slow task holds up only
+/// the worker running it.
 ///
-/// Each worker (shard) gets a contiguous block of tasks in its own
-/// deque and steals from other shards when its block drains, so skewed
-/// per-task costs (one huge swarm in an otherwise idle shard) cannot
-/// serialize the run. Like [`run_indexed`], the extra `threads - 1`
-/// workers are leased from the global [`ThreadBudget`] when one is
-/// installed, and the output is identical to the serial
-/// `(0..n).map(...)` regardless of thread count or steal order.
-///
-/// Sharded callers carry per-worker state: `init_shard(w)` builds it
-/// when worker `w` starts, `job(&mut state, i)` may batch into it, and
-/// `finish_shard(w, state)` runs when the worker's deque (and every
-/// victim's) is empty — the shard barrier at which batched telemetry
-/// is flushed to the process-wide registry. `finish_shard` is called
-/// exactly once per started worker, inline workers included.
-///
-/// Total steals across the run are recorded on the
-/// `stats.steal.count` counter (scheduler-dependent, excluded from
-/// determinism gates).
-pub fn run_stealing<T, S, IS, F, FS>(
+/// Workers carry state: `init_shard(w)` builds it when worker `w`
+/// starts, `job(&mut state, i)` may batch into it, and
+/// `finish_shard(w, state)` runs when the counter passes `n`, the shard
+/// barrier at which batched telemetry is flushed to the process-wide
+/// registry. `finish_shard` is called exactly once per started worker.
+pub fn run_sharded<T, S, IS, F, FS>(
     n: usize,
     threads: usize,
     init_shard: IS,
@@ -345,7 +242,6 @@ pub fn run_stealing<T, S, IS, F, FS>(
 ) -> Vec<T>
 where
     T: Send,
-    S: Send,
     IS: Fn(usize) -> S + Sync,
     F: Fn(&mut S, usize) -> T + Sync,
     FS: Fn(usize, S) + Sync,
@@ -356,44 +252,33 @@ where
         Some(budget) if extra_wanted > 0 => Some(budget.try_lease(extra_wanted)),
         _ => None,
     };
-    let threads = lease.as_ref().map_or(threads, |l| 1 + l.granted());
-    if threads == 1 || n <= 1 {
-        let mut state = init_shard(0);
-        let out = (0..n).map(|i| job(&mut state, i)).collect();
-        finish_shard(0, state);
-        return out;
-    }
+    let workers = 1 + lease.as_ref().map_or(extra_wanted, Lease::granted);
 
-    let workers = threads.min(n);
-    let queues = StealQueues::partition(n, workers);
-    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
+    let next = AtomicUsize::new(0);
+    let slots: Mutex<Vec<Option<T>>> = Mutex::new((0..n).map(|_| None).collect());
+    let work = |w: usize| {
+        let mut state = init_shard(w);
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
+            }
+            let result = job(&mut state, i);
+            slots.lock().expect("result slots")[i] = Some(result);
+        }
+        finish_shard(w, state);
+    };
     std::thread::scope(|scope| {
-        let (tx, rx) = mpsc::channel::<(usize, T)>();
-        for w in 0..workers {
-            let tx = tx.clone();
-            let queues = &queues;
-            let init_shard = &init_shard;
-            let job = &job;
-            let finish_shard = &finish_shard;
-            scope.spawn(move || {
-                let mut state = init_shard(w);
-                while let Some(i) = queues.next_task(w) {
-                    tx.send((i, job(&mut state, i))).expect("collector alive");
-                }
-                finish_shard(w, state);
-            });
+        for w in 1..workers {
+            let work = &work;
+            scope.spawn(move || work(w));
         }
-        drop(tx);
-        for (i, r) in rx {
-            slots[i] = Some(r);
-        }
+        work(0);
     });
     drop(lease);
-    let steals = queues.steals.load(Ordering::Relaxed);
-    if steals > 0 && swarm_obs::enabled() {
-        swarm_obs::counter("stats.steal.count").add(steals as u64);
-    }
     slots
+        .into_inner()
+        .expect("result slots")
         .into_iter()
         .map(|s| s.expect("every index was dispatched exactly once"))
         .collect()
@@ -495,57 +380,22 @@ mod tests {
         let budget = Arc::new(ThreadBudget::new(0));
         let prev = set_global_budget(Some(Arc::clone(&budget)));
         let indexed = run_indexed(13, 8, |i| i * 2);
-        let stolen = run_stealing(13, 8, |_| (), |_, i| i * 2, |_, _| ());
+        let sharded = run_sharded(13, 8, |_| (), |_, i| i * 2, |_, _| ());
         set_global_budget(prev);
         assert_eq!(indexed, (0..13).map(|i| i * 2).collect::<Vec<_>>());
-        assert_eq!(stolen, indexed);
+        assert_eq!(sharded, indexed);
         assert_eq!(budget.available(), 0);
     }
 
     #[test]
-    fn stealing_matches_serial_in_index_order() {
-        let serial = run_stealing(29, 1, |_| (), |_, i| i * 7 + 1, |_, _| ());
-        let parallel = run_stealing(29, 6, |_| (), |_, i| i * 7 + 1, |_, _| ());
+    fn sharded_matches_serial_in_index_order() {
+        let serial = run_sharded(29, 1, |_| (), |_, i| i * 7 + 1, |_, _| ());
+        let parallel = run_sharded(29, 6, |_| (), |_, i| i * 7 + 1, |_, _| ());
         assert_eq!(serial, parallel);
         assert_eq!(serial[3], 22);
         assert_eq!(
-            run_stealing(0, 4, |_| (), |_, i| i, |_, _| ()),
+            run_sharded(0, 4, |_| (), |_, i| i, |_, _| ()),
             Vec::<usize>::new()
-        );
-    }
-
-    #[test]
-    fn stealing_drains_a_skewed_partition() {
-        // All the work lands in shard 0's block; with stealing the
-        // other workers must still execute some of it, and every task
-        // runs exactly once.
-        use std::sync::atomic::AtomicU64;
-        let executed = AtomicU64::new(0);
-        let queues = StealQueues::partition(64, 4);
-        // Empty every queue but 0 to force thieves onto shard 0.
-        let hoard: Vec<usize> = (1..4)
-            .flat_map(|w| {
-                let mut q = queues.queues[w].lock().unwrap();
-                std::mem::take(&mut *q).into_iter()
-            })
-            .collect();
-        queues.queues[0].lock().unwrap().extend(hoard);
-        std::thread::scope(|scope| {
-            for w in 0..4 {
-                let queues = &queues;
-                let executed = &executed;
-                scope.spawn(move || {
-                    while let Some(_i) = queues.next_task(w) {
-                        executed.fetch_add(1, Ordering::Relaxed);
-                        std::thread::yield_now();
-                    }
-                });
-            }
-        });
-        assert_eq!(executed.load(Ordering::Relaxed), 64);
-        assert!(
-            queues.steals.load(Ordering::Relaxed) > 0,
-            "thieves must have stolen from the hoarding shard"
         );
     }
 
@@ -554,7 +404,7 @@ mod tests {
         use std::sync::atomic::AtomicU64;
         let finished = AtomicU64::new(0);
         let task_total = AtomicU64::new(0);
-        let out = run_stealing(
+        let out = run_sharded(
             40,
             4,
             |_w| 0u64,
@@ -569,32 +419,42 @@ mod tests {
         );
         assert_eq!(out, (0..40).collect::<Vec<_>>());
         // Shard-batched state, flushed at the barrier, must cover every
-        // task exactly once no matter who stole what.
+        // task exactly once no matter which worker ran it.
         assert_eq!(task_total.load(Ordering::Relaxed), (0..40u64).sum::<u64>());
         let f = finished.load(Ordering::Relaxed);
         assert!((1..=4).contains(&f), "one finish per started worker: {f}");
     }
 
     #[test]
-    fn stealing_partition_covers_all_indices() {
-        for (n, workers) in [(1usize, 3usize), (7, 3), (8, 3), (64, 5)] {
-            let q = StealQueues::partition(n, workers);
-            let mut seen: Vec<usize> = q
-                .queues
+    fn worker_zero_runs_on_the_callers_thread() {
+        let caller = std::thread::current().id();
+        let finished_on = Mutex::new(Vec::new());
+        run_sharded(
+            16,
+            4,
+            |_| (),
+            |_, i| i,
+            |w, _| {
+                let on = std::thread::current().id();
+                finished_on.lock().unwrap().push((w, on));
+            },
+        );
+        let finished_on = finished_on.into_inner().unwrap();
+        assert!(finished_on.contains(&(0, caller)));
+        assert!(
+            finished_on
                 .iter()
-                .flat_map(|m| m.lock().unwrap().iter().copied().collect::<Vec<_>>())
-                .collect();
-            seen.sort_unstable();
-            assert_eq!(seen, (0..n).collect::<Vec<_>>());
-        }
+                .all(|&(w, on)| (w == 0) == (on == caller)),
+            "only worker 0 runs on the caller's thread: {finished_on:?}"
+        );
     }
 
     #[test]
-    fn budgeted_stealing_is_identical_and_releases_permits() {
-        let unbudgeted = run_stealing(23, 8, |_| (), |_, i| 3 * i + 1, |_, _| ());
+    fn budgeted_sharded_run_is_identical_and_releases_permits() {
+        let unbudgeted = run_sharded(23, 8, |_| (), |_, i| 3 * i + 1, |_, _| ());
         let budget = Arc::new(ThreadBudget::new(2));
         let prev = set_global_budget(Some(Arc::clone(&budget)));
-        let budgeted = run_stealing(23, 8, |_| (), |_, i| 3 * i + 1, |_, _| ());
+        let budgeted = run_sharded(23, 8, |_| (), |_, i| 3 * i + 1, |_, _| ());
         set_global_budget(prev);
         assert_eq!(unbudgeted, budgeted);
         assert_eq!(budget.available(), budget.total());

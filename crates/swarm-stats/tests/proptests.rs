@@ -97,17 +97,17 @@ proptest! {
     }
 
     #[test]
-    fn stealing_equals_serial_under_any_shape(
+    fn sharded_equals_serial_under_any_shape(
         n in 0usize..80,
         threads in 1usize..9,
         salt in 0u64..1_000,
     ) {
-        // Work-stealing must be invisible in the results: any task
-        // count and thread count yields the serial map in index order,
-        // and shard-batched accumulators cover every task exactly once.
+        // Scheduling must be invisible in the results: any task count
+        // and thread count yields the serial map in index order, and
+        // shard-batched accumulators cover every task exactly once.
         let expected: Vec<u64> = (0..n as u64).map(|i| i.wrapping_mul(salt) ^ i).collect();
         let sum = std::sync::atomic::AtomicU64::new(0);
-        let got = swarm_stats::parallel::run_stealing(
+        let got = swarm_stats::parallel::run_sharded(
             n,
             threads,
             |_w| 0u64,

@@ -25,9 +25,10 @@ use swarm_obs::Snapshot;
 /// Is this metric expected to be bit-identical across machines for a
 /// fixed seed? Engine/simulator/Monte-Carlo counters are, as are the
 /// catalog runtime's shard-batched counters (integer sums over
-/// per-swarm RNG streams, invariant in shard count and steal order) and
-/// the live network engine's `net.*` counters (endpoints stepped in id
-/// order in virtual time, frames delivered in (sender, send order));
+/// per-swarm RNG streams, invariant in shard count and in which shard
+/// walks which swarm) and the live network engine's `net.*` counters
+/// (endpoints stepped in id order in virtual time, frames delivered in
+/// (sender, send order));
 /// anything timing-derived (`*_ns`, `*_ms`) or
 /// scheduler-dependent (`lab.*`, `stats.*`, `span.*`, gauges) is not.
 /// The live engine keeps its wall-clock/scheduling metrics under

@@ -40,7 +40,6 @@ fn experiment_registry_is_complete_and_unique() {
             id.starts_with("fig")
                 || id.starts_with("table-")
                 || id.starts_with("ablation-")
-                || id.starts_with("catalog-")
                 || id.starts_with("net-"),
             "unexpected id shape: {id}"
         );
