@@ -1,5 +1,9 @@
 //! E2/E3 — the §2.3 tables: extent of bundling, book availability
 //! contrast, and the "Friends" case study.
+//!
+//! Neither catalog table holds a catalog it does not read: the bundling
+//! table counts the swarms as the generator streams them past, and the
+//! books table keeps and walks only the book swarms.
 
 use crate::output::{table2, Report};
 use rand::SeedableRng;
@@ -7,25 +11,31 @@ use rand_chacha::ChaCha8Rng;
 use serde_json::json;
 use swarm_catalog::{book_stats_live, friends_case_live, run_catalog, CatalogRunConfig};
 use swarm_measurement::{
-    book_stats, bundling_extent, generate_catalog, show_case_study, CatalogConfig, Category,
+    book_stats, for_each_swarm, show_case_study, BundlingExtent, CatalogConfig, Category,
 };
 
 /// E2 — §2.3.1: extent of bundling per category.
 pub fn bundling_table(quick: bool) -> Report {
     let mut report = Report::new("table-bundling", "Extent of bundling (paper §2.3.1)");
     let scale = if quick { 0.005 } else { 0.02 };
-    let catalog = generate_catalog(&CatalogConfig { scale, seed: 2001 });
-
-    let mut rows = Vec::new();
-    let mut data = Vec::new();
     // Paper reference fractions for the three classified categories.
     let paper = [
         (Category::Music, 193_491.0 / 267_117.0),
         (Category::Tv, 25_990.0 / 164_930.0),
         (Category::Books, 7_111.0 / 66_387.0),
     ];
-    for (cat, paper_frac) in paper {
-        let ext = bundling_extent(&catalog, cat);
+    let mut extents = [BundlingExtent::default(); 3];
+    let mut catalog_size = 0usize;
+    for_each_swarm(&CatalogConfig { scale, seed: 2001 }, |s| {
+        catalog_size += 1;
+        if let Some(k) = paper.iter().position(|&(cat, _)| cat == s.category) {
+            extents[k].add(&s);
+        }
+    });
+
+    let mut rows = Vec::new();
+    let mut data = Vec::new();
+    for ((cat, paper_frac), ext) in paper.into_iter().zip(extents) {
         rows.push((
             format!("{cat:?}"),
             format!(
@@ -51,7 +61,7 @@ pub fn bundling_table(quick: bool) -> Report {
         }));
     }
     report.block(table2(("category", "bundling"), &rows));
-    report.set_data(json!({ "categories": data, "catalog_size": catalog.len() }));
+    report.set_data(json!({ "categories": data, "catalog_size": catalog_size }));
     report
 }
 
@@ -62,15 +72,22 @@ pub fn books_table(quick: bool) -> Report {
         "Bundled content is more available: books (paper §2.3.2)",
     );
     let scale = if quick { 0.01 } else { 0.04 };
-    let catalog = generate_catalog(&CatalogConfig { scale, seed: 2003 });
+    // The contrast reads only the book swarms, and each swarm's walk its
+    // own stream, so the Books alone give the whole catalog's numbers.
+    let mut books = Vec::new();
+    for_each_swarm(&CatalogConfig { scale, seed: 2003 }, |s| {
+        if s.category == Category::Books {
+            books.push(s);
+        }
+    });
     let mut rng = ChaCha8Rng::seed_from_u64(2004);
-    let stats = book_stats(&catalog, &mut rng);
+    let stats = book_stats(&books, &mut rng);
 
-    // Live contrast: run the catalog through the sharded runtime as a
+    // Live contrast: run the books through the sharded runtime as a
     // snapshot continuation and measure seed presence and downloads
     // instead of sampling the stationary law.
     let live_run = run_catalog(
-        &catalog,
+        &books,
         &CatalogRunConfig {
             catalog_seed: 2006,
             months: 7,
@@ -78,7 +95,7 @@ pub fn books_table(quick: bool) -> Report {
             start_at_generated_age: true,
         },
     );
-    let live = book_stats_live(&catalog, &live_run);
+    let live = book_stats_live(&books, &live_run);
 
     report.block(table2(
         ("metric", "value (paper)"),

@@ -2,8 +2,8 @@
 //!
 //! This crate holds the repo's one walk of a swarm's seed process, the
 //! alternating-renewal model whose parameters and closed forms live in
-//! `swarm_measurement::observe`, and runs it over the whole generated
-//! catalog:
+//! `swarm_measurement::observe`, and runs it over a generated catalog or
+//! any slice of it:
 //!
 //! * [`runtime`] — the sharded engine. Workers take the catalog's
 //!   swarms one at a time from a shared counter (built on

@@ -1,10 +1,10 @@
 //! The sharded catalog engine.
 //!
-//! One [`SwarmSummary`] per catalog swarm, produced by an event-driven
-//! walk of the swarm's seed process over the monitoring horizon. This
-//! is the only walk of that process: the [`seed_process`]
-//! parameterization refreshed weekly, a stationary initial draw, and
-//! exact exponential dwell times. It also counts the peers that arrive
+//! One [`SwarmSummary`] per swarm walked — a whole catalog or any slice of
+//! it — produced by an event-driven walk of the swarm's seed process over
+//! the monitoring horizon. This is the only walk of that process: the
+//! [`seed_process`] parameterization refreshed weekly, a stationary
+//! initial draw, and exact exponential dwell times. It also counts the peers that arrive
 //! (and the completers that linger as seeds) while the swarm is
 //! available, and the hour boundaries at which a seed is online — what
 //! the paper's hourly monitoring agents would record. An idle swarm
@@ -17,10 +17,11 @@
 //! [`SwarmSummary`] is accumulated sequentially inside that swarm's own
 //! walk. Shard assignment and shard count therefore cannot
 //! perturb any summary: a run at 8 threads is bit-identical to a
-//! 1-thread run. Anything aggregated *across* swarms must either be an
-//! integer sum (order-independent) or be computed serially in id order
-//! from the returned summaries — which is what [`CatalogRun`]'s
-//! accessors do.
+//! 1-thread run, and a swarm walked in a slice of the catalog gets the
+//! summary it gets in the whole catalog. Anything aggregated *across*
+//! swarms must either be an integer sum (order-independent) or be
+//! computed serially in id order from the returned summaries — which is
+//! what [`CatalogRun`]'s accessors do.
 
 use crate::obsbatch::ShardObs;
 use rand::{Rng, SeedableRng};
@@ -77,7 +78,7 @@ impl Default for CatalogRunConfig {
 /// `(catalog_seed, swarm_id, config)` alone.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SwarmSummary {
-    /// Swarm id (== index into [`CatalogRun::per_swarm`]).
+    /// Id of the walked swarm.
     pub id: u64,
     /// Hours with at least one seed online, over the whole horizon.
     pub on_hours: f64,
@@ -124,7 +125,8 @@ pub struct CatalogRun {
     pub config: CatalogRunConfig,
     /// Monitoring horizon in hours.
     pub horizon_hours: f64,
-    /// One summary per swarm, indexed by swarm id.
+    /// One summary per swarm walked: `per_swarm[i]` is the summary of
+    /// the `i`-th swarm of the slice given to [`run_catalog`].
     pub per_swarm: Vec<SwarmSummary>,
     /// Wall-clock time of the sharded execution.
     pub wall: Duration,
@@ -141,7 +143,8 @@ impl CatalogRun {
         self.per_swarm.iter().map(|s| s.toggles).sum()
     }
 
-    /// End-of-horizon seed presence per swarm — the live analog of the
+    /// End-of-horizon seed presence per swarm, in the order of
+    /// [`per_swarm`](Self::per_swarm) — the live analog of the
     /// stationary snapshot sample used by `book_stats`.
     pub fn seeded_flags(&self) -> Vec<bool> {
         self.per_swarm.iter().map(|s| s.final_on).collect()
@@ -293,17 +296,15 @@ pub fn simulate_swarm_recorded(
     out
 }
 
-/// Tick the entire catalog.
+/// Walk every swarm of `swarms`: a whole catalog or any part of it.
 ///
 /// Each worker of [`run_sharded`] takes the next swarm from a shared
 /// counter and batches its telemetry locally, flushing to the global
-/// registry exactly once at the shard barrier (see [`ShardObs`]).
-/// Swarm ids must be dense and equal to their index (the catalog
-/// generator guarantees this).
+/// registry exactly once at the shard barrier (see [`ShardObs`]). The
+/// returned `per_swarm[i]` is `swarms[i]`'s summary. A swarm's walk
+/// reads its own stream, keyed by `(catalog_seed, swarm.id)`, so a swarm
+/// gets the same summary whichever other swarms share the slice.
 pub fn run_catalog(swarms: &[Swarm], cfg: &CatalogRunConfig) -> CatalogRun {
-    for (i, s) in swarms.iter().enumerate() {
-        assert_eq!(s.id, i as u64, "catalog ids must be dense");
-    }
     let start = Instant::now();
     let per_swarm = run_sharded(
         swarms.len(),

@@ -6,7 +6,9 @@
 //! paper's hourly agents; it walks each swarm with [`simulate_swarm`].
 //! The §2.3.2 contrasts (the books contrast, the "Friends" case study)
 //! read measured download counts and end-of-run seed presence from a
-//! [`CatalogRun`]. Aggregation happens serially in swarm-id order over the
+//! [`CatalogRun`]. The books contrast reads only book swarms, so a run
+//! over the Books alone gives it the same numbers as a run over the whole
+//! catalog. Aggregation happens serially in swarm-id order over the
 //! deterministic per-swarm summaries, so every number here inherits the
 //! runtime's shard-count invariance.
 
@@ -71,12 +73,12 @@ pub fn availability_study(run: &CatalogRun) -> AvailabilityStudy {
 /// The §2.3.2 books contrast over a live run: seed presence is the
 /// measured end-of-horizon state and download volume is the measured
 /// arrival count, instead of a stationary sample and the closed-form
-/// expectation.
+/// expectation. `run` must be [`run_catalog`] over `swarms`, which may
+/// hold the Books alone.
 pub fn book_stats_live(swarms: &[Swarm], run: &CatalogRun) -> BookStats {
     assert_eq!(swarms.len(), run.per_swarm.len());
-    let seeded = run.seeded_flags();
-    book_stats_with(swarms, &seeded, |s| {
-        run.per_swarm[s.id as usize].arrivals as f64
+    book_stats_with(swarms, &run.seeded_flags(), |i| {
+        run.per_swarm[i].arrivals as f64
     })
 }
 
@@ -205,7 +207,7 @@ pub fn bias_study<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use swarm_measurement::{generate_catalog, CatalogConfig, Category};
+    use swarm_measurement::{book_stats, generate_catalog, CatalogConfig, Category};
 
     #[test]
     fn study_reproduces_figure_1_calibration() {
@@ -278,6 +280,36 @@ mod tests {
             stats.downloads_collections,
             stats.downloads_typical
         );
+    }
+
+    #[test]
+    fn books_alone_give_the_whole_catalogs_contrast() {
+        let swarms = generate_catalog(&CatalogConfig {
+            scale: 0.01,
+            seed: 43,
+        });
+        let books: Vec<Swarm> = swarms
+            .iter()
+            .filter(|s| s.category == Category::Books)
+            .cloned()
+            .collect();
+        assert!(books.len() < swarms.len());
+        assert!(
+            books.iter().any(|s| s.subset_of.is_some()),
+            "a super-collection link must be resolved"
+        );
+
+        let sampled = |input: &[Swarm]| book_stats(input, &mut ChaCha8Rng::seed_from_u64(45));
+        assert_eq!(sampled(&books), sampled(&swarms));
+
+        let cfg = CatalogRunConfig {
+            months: 1,
+            threads: 2,
+            start_at_generated_age: true,
+            ..CatalogRunConfig::default()
+        };
+        let live = |input: &[Swarm]| book_stats_live(input, &run_catalog(input, &cfg));
+        assert_eq!(live(&books), live(&swarms));
     }
 
     #[test]

@@ -8,6 +8,11 @@
 //!   (4,216 vs 2,578 on average).
 //! * **"Friends"**: 52 swarms for one TV show; the available ones are
 //!   overwhelmingly bundles.
+//!
+//! The book statistics read only the Books of the slice they are given,
+//! matching observations to swarms by position and super-collection
+//! links by id, so a caller may pass the Books alone instead of the
+//! whole catalog.
 
 use crate::bundling::is_collection;
 use crate::catalog::{Category, Swarm};
@@ -38,34 +43,46 @@ pub struct BookStats {
 /// Compute the book-availability contrast at a snapshot where each swarm
 /// has its generated age. Seed presence is sampled from the stationary
 /// availability of each swarm's seed process.
+///
+/// `swarms` is any slice whose ids strictly ascend, such as a whole
+/// catalog or its Books alone; only the Books are read, and they draw
+/// from `rng` in slice order, so both give the same contrast.
 pub fn book_stats<R: Rng + ?Sized>(swarms: &[Swarm], rng: &mut R) -> BookStats {
     // Sample the snapshot seed-presence of every book swarm once.
-    let mut seeded = vec![false; swarms.len()];
-    for s in swarms.iter().filter(|s| s.category == Category::Books) {
-        let p = stationary_availability(s, s.age_days);
-        seeded[s.id as usize] = rng.gen::<f64>() < p;
-    }
-    book_stats_with(swarms, &seeded, |s| expected_downloads(s, 7))
+    let seeded: Vec<bool> = swarms
+        .iter()
+        .map(|s| {
+            s.category == Category::Books
+                && rng.gen::<f64>() < stationary_availability(s, s.age_days)
+        })
+        .collect();
+    book_stats_with(swarms, &seeded, |i| expected_downloads(&swarms[i], 7))
 }
 
 /// The book contrast over externally supplied snapshot observations:
-/// `seeded[id]` says whether swarm `id` had a seed at the snapshot and
-/// `downloads` scores each swarm's download volume. [`book_stats`] feeds
-/// it stationary samples and the closed-form expectation; the live
-/// catalog runtime (`swarm-catalog`) feeds it the *measured* end-of-run
-/// seed state and download counts — same folding and aggregation either
-/// way.
+/// `seeded[i]` says whether `swarms[i]` had a seed at the snapshot and
+/// `downloads(i)` scores its download volume. [`book_stats`] feeds it
+/// stationary samples and the closed-form expectation; the live catalog
+/// runtime (`swarm-catalog`) feeds it the *measured* end-of-run seed
+/// state and download counts — same folding and aggregation either way.
+///
+/// Ids must strictly ascend along `swarms`; a super-collection link is
+/// resolved by id within the slice, so every linked super-collection
+/// must be in it.
 pub fn book_stats_with(
     swarms: &[Swarm],
     seeded: &[bool],
-    downloads: impl Fn(&Swarm) -> f64,
+    downloads: impl Fn(usize) -> f64,
 ) -> BookStats {
     assert_eq!(seeded.len(), swarms.len(), "one seed flag per swarm");
-    let books: Vec<&Swarm> = swarms
-        .iter()
-        .filter(|s| s.category == Category::Books)
-        .collect();
-    assert!(!books.is_empty(), "catalog has no book swarms");
+    assert!(
+        swarms.windows(2).all(|w| w[0].id < w[1].id),
+        "swarm ids must strictly ascend"
+    );
+    let seeded_id = |id: u64| match swarms.binary_search_by_key(&id, |s| s.id) {
+        Ok(i) => seeded[i],
+        Err(_) => panic!("super-collection {id} is not among the swarms"),
+    };
 
     let mut total = 0u64;
     let mut unavailable = 0u64;
@@ -75,13 +92,16 @@ pub fn book_stats_with(
     let mut dl_typical = (0.0, 0u64);
     let mut dl_coll = (0.0, 0u64);
 
-    for s in &books {
+    for (i, s) in swarms.iter().enumerate() {
+        if s.category != Category::Books {
+            continue;
+        }
         total += 1;
-        let has_seed = seeded[s.id as usize];
+        let has_seed = seeded[i];
         if !has_seed {
             unavailable += 1;
         }
-        let dl = downloads(s);
+        let dl = downloads(i);
         if is_collection(s) {
             coll_total += 1;
             dl_coll.0 += dl;
@@ -90,7 +110,7 @@ pub fn book_stats_with(
                 coll_unavailable += 1;
                 // Folding rule: content is effectively available if a
                 // super-collection containing this one has a seed.
-                let rescued = s.subset_of.map(|sup| seeded[sup as usize]).unwrap_or(false);
+                let rescued = s.subset_of.is_some_and(seeded_id);
                 if !rescued {
                     coll_unavailable_eff += 1;
                 }
@@ -100,6 +120,7 @@ pub fn book_stats_with(
             dl_typical.1 += 1;
         }
     }
+    assert!(total > 0, "catalog has no book swarms");
 
     BookStats {
         total,

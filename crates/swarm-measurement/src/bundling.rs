@@ -53,7 +53,7 @@ pub fn is_collection(swarm: &Swarm) -> bool {
 }
 
 /// Per-category bundling-extent statistics (the §2.3.1 table).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct BundlingExtent {
     /// Swarms examined.
     pub total: u64,
@@ -68,25 +68,25 @@ impl BundlingExtent {
     pub fn bundle_fraction(&self) -> f64 {
         self.bundles as f64 / self.total as f64
     }
+
+    /// Count one swarm: examined, and a bundle or collection if the
+    /// §2.3.1 rules classify it so.
+    pub fn add(&mut self, swarm: &Swarm) {
+        self.total += 1;
+        self.bundles += u64::from(is_bundle(swarm));
+        self.collections += u64::from(is_collection(swarm));
+    }
 }
 
 /// Classify every swarm of `cat` in the catalog.
 pub fn bundling_extent(swarms: &[Swarm], cat: Category) -> BundlingExtent {
-    let mut ext = BundlingExtent {
-        total: 0,
-        bundles: 0,
-        collections: 0,
-    };
-    for s in swarms.iter().filter(|s| s.category == cat) {
-        ext.total += 1;
-        if is_bundle(s) {
-            ext.bundles += 1;
-        }
-        if is_collection(s) {
-            ext.collections += 1;
-        }
-    }
-    ext
+    swarms
+        .iter()
+        .filter(|s| s.category == cat)
+        .fold(BundlingExtent::default(), |mut ext, s| {
+            ext.add(s);
+            ext
+        })
 }
 
 #[cfg(test)]

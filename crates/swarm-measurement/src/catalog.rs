@@ -9,11 +9,16 @@
 //! heterogeneous publisher behavior in which bundles enjoy both higher
 //! aggregate demand and more committed publishers — the two causal inputs
 //! the paper's model turns into higher availability.
+//!
+//! [`for_each_swarm`] is the generator: it hands each swarm to a callback
+//! as it is drawn, so a caller that counts or filters never holds the
+//! whole catalog. [`generate_catalog`] collects that stream.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
 use rand_distr::Distribution as _;
 use serde::{Deserialize, Serialize};
+use std::fmt::Write as _;
 
 /// Mininova's nine content categories.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -51,6 +56,21 @@ impl Category {
         Category::Pictures,
         Category::Other,
     ];
+
+    /// The variant's name, e.g. `"Music"`: the text `{:?}` prints.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Category::Music => "Music",
+            Category::Tv => "Tv",
+            Category::Books => "Books",
+            Category::Movies => "Movies",
+            Category::Games => "Games",
+            Category::Software => "Software",
+            Category::Anime => "Anime",
+            Category::Pictures => "Pictures",
+            Category::Other => "Other",
+        }
+    }
 }
 
 /// A file extension the generator draws: the content and decoy
@@ -256,42 +276,52 @@ fn bundle_file_count<R: Rng + ?Sized>(cat: Category, rng: &mut R) -> usize {
     }
 }
 
-/// Generate the synthetic catalog.
-///
-/// Deterministic for a given config. Swarm ids are dense from 0. The
-/// swarm table is allocated once, at its exact length, and each swarm
-/// adds two allocations: its title and its file list.
-pub fn generate_catalog(cfg: &CatalogConfig) -> Vec<Swarm> {
+/// Swarms per category: the snapshot count at scale, at least 10.
+fn category_size(cfg: &CatalogConfig, count: u64) -> u64 {
     assert!(
         cfg.scale > 0.0 && cfg.scale <= 1.0,
         "scale must be in (0, 1]"
     );
+    ((count as f64 * cfg.scale).round() as u64).max(10)
+}
+
+/// Generate the synthetic catalog, handing each swarm to `emit` in id
+/// order. Ids are dense from 0.
+///
+/// Deterministic for a given config. A swarm is emitted as soon as it
+/// is drawn, except the Books: their super-collection links are drawn
+/// after the category's last swarm, so they are held in one table,
+/// reserved at the category's count, and emitted once linked.
+pub fn for_each_swarm(cfg: &CatalogConfig, mut emit: impl FnMut(Swarm)) {
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(cfg.seed);
     use rand::SeedableRng;
 
-    // Swarms per category: the snapshot count at scale, at least 10.
-    let size = |count: u64| ((count as f64 * cfg.scale).round() as u64).max(10);
-    let total: u64 = CATEGORY_PLAN.iter().map(|&(_, count, _)| size(count)).sum();
-    let mut swarms = Vec::with_capacity(total as usize);
     let mut id = 0u64;
     for &(cat, count, bundle_frac) in CATEGORY_PLAN {
-        let n = size(count);
+        let n = category_size(cfg, count);
+        let is_books = cat == Category::Books;
+        // Books wait here until their super-collection links are drawn.
+        let first_id = id;
+        let mut held = Vec::with_capacity(if is_books { n as usize } else { 0 });
         let mut collection_ids: Vec<u64> = Vec::new();
         for i in 0..n {
             let is_bundle = rng.gen::<f64>() < bundle_frac;
-            let is_collection =
-                cat == Category::Books && is_bundle && rng.gen::<f64>() < BOOK_COLLECTION_SHARE;
+            let is_collection = is_books && is_bundle && rng.gen::<f64>() < BOOK_COLLECTION_SHARE;
             let swarm = synth_swarm(&mut rng, id, cat, i, is_bundle, is_collection);
             if is_collection {
                 collection_ids.push(id);
             }
-            swarms.push(swarm);
+            if is_books {
+                held.push(swarm);
+            } else {
+                emit(swarm);
+            }
             id += 1;
         }
         // Some collections are strict subsets of a larger super-collection
         // (the paper's Garfield-comics example): link ~25% of collections
         // to a random larger one.
-        if cat == Category::Books && collection_ids.len() >= 4 {
+        if is_books && collection_ids.len() >= 4 {
             let supers: Vec<u64> = collection_ids
                 .iter()
                 .copied()
@@ -300,12 +330,27 @@ pub fn generate_catalog(cfg: &CatalogConfig) -> Vec<Swarm> {
             for &cid in &collection_ids {
                 if !supers.contains(&cid) && rng.gen::<f64>() < 0.25 {
                     if let Some(&sup) = supers.choose(&mut rng) {
-                        swarms[cid as usize].subset_of = Some(sup);
+                        held[(cid - first_id) as usize].subset_of = Some(sup);
                     }
                 }
             }
         }
+        held.into_iter().for_each(&mut emit);
     }
+}
+
+/// Generate the synthetic catalog: [`for_each_swarm`]'s stream, collected.
+///
+/// Swarm ids are dense from 0 and equal to their index. The swarm table
+/// is allocated once, at its exact length, and each swarm adds two
+/// allocations: its title and its file list.
+pub fn generate_catalog(cfg: &CatalogConfig) -> Vec<Swarm> {
+    let total: u64 = CATEGORY_PLAN
+        .iter()
+        .map(|&(_, count, _)| category_size(cfg, count))
+        .sum();
+    let mut swarms = Vec::with_capacity(total as usize);
+    for_each_swarm(cfg, |s| swarms.push(s));
     swarms
 }
 
@@ -381,13 +426,21 @@ fn synth_swarm<R: Rng + ?Sized>(
     let altruist_rate = 0.05 * demand;
     let altruist_residence = sample_lognormal(rng, 2.0, 0.5);
 
-    let title = if is_collection {
-        format!("{cat:?} ultimate collection {index_in_cat}")
+    // E.g. "Books ultimate collection 12", built in one block of its
+    // exact length.
+    let kind = if is_collection {
+        " ultimate collection "
     } else if is_bundle {
-        format!("{cat:?} pack {index_in_cat}")
+        " pack "
     } else {
-        format!("{cat:?} item {index_in_cat}")
+        " item "
     };
+    let name = cat.as_str();
+    let digits = index_in_cat.checked_ilog10().map_or(1, |d| d as usize + 1);
+    let mut title = String::with_capacity(name.len() + kind.len() + digits);
+    title.push_str(name);
+    title.push_str(kind);
+    write!(title, "{index_in_cat}").expect("writing to a String cannot fail");
 
     Swarm {
         id,
@@ -420,6 +473,13 @@ mod tests {
             scale: 0.01,
             seed: 7,
         })
+    }
+
+    #[test]
+    fn category_names_match_debug() {
+        for cat in Category::ALL {
+            assert_eq!(cat.as_str(), format!("{cat:?}"));
+        }
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //!   demand, heterogeneous publishers (more committed for bundles), and
 //!   book super-collections. A file is a 16-byte [`FileEntry`] (an
 //!   [`Extension`] and a size), so a swarm owns exactly two heap blocks,
-//!   its title and its file list;
+//!   its title and its file list. [`for_each_swarm`] streams the
+//!   catalog swarm by swarm; [`generate_catalog`] collects the stream;
 //! * [`observe`] — the closed forms of per-swarm seed presence: an
 //!   alternating renewal process whose ON periods are M/G/∞ busy periods
 //!   of the seed process (publishers + altruistic completers), with
@@ -43,6 +44,8 @@ pub use analysis::{
     ShowCaseStudy,
 };
 pub use bundling::{bundling_extent, is_bundle, is_collection, BundlingExtent};
-pub use catalog::{generate_catalog, CatalogConfig, Category, Extension, FileEntry, Swarm};
+pub use catalog::{
+    for_each_swarm, generate_catalog, CatalogConfig, Category, Extension, FileEntry, Swarm,
+};
 pub use observe::{seed_process, stationary_availability};
 pub use population::{capture_recapture, sample_and_estimate, PopulationEstimate};

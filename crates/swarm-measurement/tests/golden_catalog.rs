@@ -8,8 +8,10 @@
 //! size bits. The catalog is the root of every §2 experiment and of the
 //! sharded runtime's per-swarm RNG streams, so a change meant to keep
 //! the RNG draws and their order must leave both digests as they are.
+//! The swarms `for_each_swarm` streams must match the same digests,
+//! since `generate_catalog` is only their collection.
 
-use swarm_measurement::{generate_catalog, CatalogConfig, Category};
+use swarm_measurement::{for_each_swarm, generate_catalog, CatalogConfig, Category, Swarm};
 
 /// Streaming 64-bit FNV-1a.
 struct Fnv(u64);
@@ -36,11 +38,23 @@ impl Fnv {
     }
 }
 
-/// Swarm count and digest of the catalog `cfg` generates.
-fn fingerprint(cfg: &CatalogConfig) -> (usize, u64) {
-    let swarms = generate_catalog(cfg);
-    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
-    for s in &swarms {
+/// Swarm count and digest of a sequence of swarms, fed one at a time.
+struct Fingerprint {
+    swarms: usize,
+    h: Fnv,
+}
+
+impl Fingerprint {
+    fn new() -> Self {
+        Fingerprint {
+            swarms: 0,
+            h: Fnv(0xcbf2_9ce4_8422_2325),
+        }
+    }
+
+    fn add(&mut self, s: &Swarm) {
+        self.swarms += 1;
+        let h = &mut self.h;
         h.u64(s.id);
         let category = Category::ALL.iter().position(|&c| c == s.category);
         h.u64(category.expect("every category is listed") as u64);
@@ -68,7 +82,10 @@ fn fingerprint(cfg: &CatalogConfig) -> (usize, u64) {
             h.f64(f.size_kb);
         }
     }
-    (swarms.len(), h.0)
+
+    fn get(&self) -> (usize, u64) {
+        (self.swarms, self.h.0)
+    }
 }
 
 #[test]
@@ -80,13 +97,19 @@ fn catalog_matches_pinned_digests() {
         (0.001, 7, 1_087, 0x0393_4399_feeb_b0aa),
     ];
     for (scale, seed, swarms, digest) in pinned {
-        let got = fingerprint(&CatalogConfig { scale, seed });
-        assert_eq!(
-            got,
-            (swarms, digest),
-            "catalog at scale {scale}, seed {seed}: got (swarms, digest) = ({}, {:#018x})",
-            got.0,
-            got.1
-        );
+        let cfg = CatalogConfig { scale, seed };
+        let mut collected = Fingerprint::new();
+        generate_catalog(&cfg).iter().for_each(|s| collected.add(s));
+        let mut streamed = Fingerprint::new();
+        for_each_swarm(&cfg, |s| streamed.add(&s));
+        for (input, got) in [("catalog", collected.get()), ("stream", streamed.get())] {
+            assert_eq!(
+                got,
+                (swarms, digest),
+                "{input} at scale {scale}, seed {seed}: got (swarms, digest) = ({}, {:#018x})",
+                got.0,
+                got.1
+            );
+        }
     }
 }
