@@ -11,7 +11,8 @@ use rand_chacha::ChaCha8Rng;
 use serde_json::json;
 use swarm_catalog::{book_stats_live, friends_case_live, run_catalog, CatalogRunConfig};
 use swarm_measurement::{
-    book_stats, for_each_swarm, show_case_study, BundlingExtent, CatalogConfig, Category,
+    book_stats, category_count, for_each_swarm, show_case_study, BundlingExtent, CatalogConfig,
+    Category,
 };
 
 /// E2 — §2.3.1: extent of bundling per category.
@@ -74,8 +75,11 @@ pub fn books_table(quick: bool) -> Report {
     let scale = if quick { 0.01 } else { 0.04 };
     // The contrast reads only the book swarms, and each swarm's walk its
     // own stream, so the Books alone give the whole catalog's numbers.
-    let mut books = Vec::new();
-    for_each_swarm(&CatalogConfig { scale, seed: 2003 }, |s| {
+    // The table is reserved at their count: the generator still holds its
+    // own table of them while it hands them over.
+    let catalog = CatalogConfig { scale, seed: 2003 };
+    let mut books = Vec::with_capacity(category_count(&catalog, Category::Books));
+    for_each_swarm(&catalog, |s| {
         if s.category == Category::Books {
             books.push(s);
         }

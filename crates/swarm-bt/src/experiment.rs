@@ -2,22 +2,20 @@
 //!
 //! The paper's §4.3 experiments run "10 runs of 1200 s each" per bundle
 //! size; this module parallelizes replications and aggregates download
-//! times across runs.
+//! times across runs. A run keeps only its download times and
+//! availability; the rest of its result is dropped on its worker.
 
 use crate::config::BtConfig;
 use crate::engine::run;
-use crate::metrics::BtResult;
 use swarm_stats::{BoxPlot, Samples};
 
 /// Aggregate of independent replications of one configuration.
 #[derive(Debug, Clone)]
 pub struct BtReplicated {
-    /// Download times pooled across runs.
+    /// Download times pooled across runs, in run order.
     pub download_times: Samples,
     /// Mean availability across runs.
     pub availability: f64,
-    /// Per-run results (timeline and curve inspection).
-    pub runs: Vec<BtResult>,
 }
 
 impl BtReplicated {
@@ -38,24 +36,18 @@ pub fn replicate(cfg: &BtConfig, n: usize, threads: usize) -> BtReplicated {
     assert!(threads >= 1, "need at least one thread");
     cfg.validate();
 
-    let results: Vec<BtResult> = swarm_stats::parallel::run_indexed(n, threads, |i| {
-        run(&BtConfig {
+    let runs: Vec<(Samples, f64)> = swarm_stats::parallel::run_indexed(n, threads, |i| {
+        let r = run(&BtConfig {
             seed: cfg.seed.wrapping_add(i as u64),
             ..cfg.clone()
-        })
+        });
+        (r.download_times, r.availability)
     });
 
-    let mut download_times = Samples::new();
-    let mut availability = 0.0;
-    for r in &results {
-        download_times.extend_from(&r.download_times);
-        availability += r.availability;
-    }
-    availability /= results.len() as f64;
+    let availability = runs.iter().map(|r| r.1).sum::<f64>() / n as f64;
     BtReplicated {
-        download_times,
+        download_times: Samples::concat(runs.into_iter().map(|r| r.0).collect()),
         availability,
-        runs: results,
     }
 }
 
@@ -70,6 +62,22 @@ mod tests {
             publisher: BtPublisher::AlwaysOn,
             ..BtConfig::paper_section_4_3(1, 41)
         }
+    }
+
+    /// The download times of single runs at seeds `seed..seed + n`, in
+    /// seed order.
+    fn single_runs(n: u64) -> Vec<f64> {
+        (0..n)
+            .flat_map(|i| {
+                run(&BtConfig {
+                    seed: cfg().seed + i,
+                    ..cfg()
+                })
+                .download_times
+                .values()
+                .to_vec()
+            })
+            .collect()
     }
 
     #[test]
@@ -89,7 +97,7 @@ mod tests {
         let p = replicate(&cfg(), 5, 2);
         assert_eq!(s.download_times.values(), p.download_times.values());
         assert_eq!(s.availability, p.availability);
-        assert_eq!(s.runs.len(), p.runs.len());
+        assert_eq!(p.download_times.values(), single_runs(5));
     }
 
     #[test]
@@ -100,7 +108,7 @@ mod tests {
         let p = replicate(&cfg(), 2, 8);
         assert_eq!(s.download_times.values(), p.download_times.values());
         assert_eq!(s.availability, p.availability);
-        assert_eq!(p.runs.len(), 2);
+        assert_eq!(p.download_times.values(), single_runs(2));
     }
 
     #[test]
@@ -108,6 +116,6 @@ mod tests {
         let one = replicate(&cfg(), 1, 1);
         let four = replicate(&cfg(), 4, 2);
         assert!(four.download_times.len() > one.download_times.len());
-        assert_eq!(four.runs.len(), 4);
+        assert_eq!(four.download_times.values(), single_runs(4));
     }
 }

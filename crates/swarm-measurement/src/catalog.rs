@@ -285,6 +285,15 @@ fn category_size(cfg: &CatalogConfig, count: u64) -> u64 {
     ((count as f64 * cfg.scale).round() as u64).max(10)
 }
 
+/// Swarms of category `cat` in the catalog `cfg` generates.
+pub fn category_count(cfg: &CatalogConfig, cat: Category) -> usize {
+    let &(_, count, _) = CATEGORY_PLAN
+        .iter()
+        .find(|plan| plan.0 == cat)
+        .expect("every category has a plan");
+    category_size(cfg, count) as usize
+}
+
 /// Generate the synthetic catalog, handing each swarm to `emit` in id
 /// order. Ids are dense from 0.
 ///
@@ -513,6 +522,14 @@ mod tests {
             (total as i64 - 10_879).unsigned_abs() < 200,
             "total {total}"
         );
+        let cfg = CatalogConfig {
+            scale: 0.01,
+            seed: 7,
+        };
+        for cat in Category::ALL {
+            let generated = swarms.iter().filter(|s| s.category == cat).count();
+            assert_eq!(category_count(&cfg, cat), generated, "{cat:?}");
+        }
     }
 
     #[test]

@@ -45,7 +45,8 @@ pub use analysis::{
 };
 pub use bundling::{bundling_extent, is_bundle, is_collection, BundlingExtent};
 pub use catalog::{
-    for_each_swarm, generate_catalog, CatalogConfig, Category, Extension, FileEntry, Swarm,
+    category_count, for_each_swarm, generate_catalog, CatalogConfig, Category, Extension,
+    FileEntry, Swarm,
 };
 pub use observe::{seed_process, stationary_availability};
 pub use population::{capture_recapture, sample_and_estimate, PopulationEstimate};

@@ -4,18 +4,103 @@
 //! harness typically wants many more. Replications are embarrassingly
 //! parallel: each gets a derived seed and runs on a worker from the
 //! shared index-ordered pool in [`swarm_stats::parallel`].
+//!
+//! A replication keeps only what callers read. On the worker that ran
+//! it, its waiting times, timeline and availability intervals are
+//! dropped and its samples shrink to their length; the pool then
+//! concatenates them in replication order at exact size.
 
 use crate::config::SimConfig;
 use crate::engine::run;
 use crate::metrics::SimResult;
 use swarm_stats::ci::{mean_ci, ConfidenceInterval};
-use swarm_stats::Summary;
+use swarm_stats::{Samples, Summary};
 
-/// Aggregate of `n` independent replications of one configuration.
+/// What callers read of one or more replications of a configuration:
+/// [`SimResult`]'s per-peer samples concatenated in replication order,
+/// its counters summed and its availability averaged. Waiting times,
+/// timelines and availability intervals are per-run artifacts that no
+/// caller of [`replicate`] reads, so none are kept.
+#[derive(Debug, Clone, Default)]
+pub struct Pooled {
+    /// Download times (arrival → completion) of peers that completed.
+    pub download_times: Samples,
+    /// Lengths of completed availability (busy) periods.
+    pub busy_periods: Samples,
+    /// Peers that arrived (post-warmup).
+    pub arrivals: u64,
+    /// Peers that completed their download (post-warmup arrivals only).
+    pub completions: u64,
+    /// Impatient peers that arrived during an idle period and left
+    /// unserved (post-warmup).
+    pub blocked: u64,
+    /// Peers still in the system at the horizon.
+    pub in_flight_at_horizon: u64,
+    /// Mean over replications of the fraction of post-warmup time during
+    /// which content was available.
+    pub availability: f64,
+}
+
+impl Pooled {
+    /// Keep what a caller reads of one run, its samples at their length.
+    fn of_run(mut r: SimResult) -> Self {
+        r.download_times.shrink_to_fit();
+        r.busy_periods.shrink_to_fit();
+        Pooled {
+            download_times: r.download_times,
+            busy_periods: r.busy_periods,
+            arrivals: r.arrivals,
+            completions: r.completions,
+            blocked: r.blocked,
+            in_flight_at_horizon: r.in_flight_at_horizon,
+            availability: r.availability,
+        }
+    }
+
+    /// Pool runs in order. Availability is the running average
+    /// `(a·i + aᵢ)/(i + 1)`; callers run identical-length replications.
+    fn pool(runs: Vec<Pooled>) -> Self {
+        let mut pooled = Pooled::default();
+        let mut downloads = Vec::with_capacity(runs.len());
+        let mut busy = Vec::with_capacity(runs.len());
+        for (i, r) in runs.into_iter().enumerate() {
+            pooled.arrivals += r.arrivals;
+            pooled.completions += r.completions;
+            pooled.blocked += r.blocked;
+            pooled.in_flight_at_horizon += r.in_flight_at_horizon;
+            let n = i as f64;
+            pooled.availability = (pooled.availability * n + r.availability) / (n + 1.0);
+            downloads.push(r.download_times);
+            busy.push(r.busy_periods);
+        }
+        pooled.download_times = Samples::concat(downloads);
+        pooled.busy_periods = Samples::concat(busy);
+        pooled
+    }
+
+    /// Fraction of post-warmup arrivals that were blocked (impatient runs:
+    /// the empirical unavailability probability `P` by PASTA).
+    pub fn blocked_fraction(&self) -> f64 {
+        if self.arrivals == 0 {
+            f64::NAN
+        } else {
+            self.blocked as f64 / self.arrivals as f64
+        }
+    }
+
+    /// Mean download time; `NaN` if no peer completed.
+    pub fn mean_download_time(&self) -> f64 {
+        self.download_times.mean()
+    }
+}
+
+/// Aggregate of `n` independent replications of one configuration: the
+/// runs pooled into one [`Pooled`], and each run's mean download time.
+/// No run's whole [`SimResult`] outlives the worker that produced it.
 #[derive(Debug, Clone)]
 pub struct Replicated {
-    /// Pooled result (samples concatenated, availability averaged).
-    pub pooled: SimResult,
+    /// What callers read of the runs, pooled in replication order.
+    pub pooled: Pooled,
     /// Per-replication mean download times (for run-level CIs).
     pub per_run_means: Vec<f64>,
     /// Number of replications executed.
@@ -42,21 +127,16 @@ pub fn replicate(config: &SimConfig, n: usize, threads: usize) -> Replicated {
     assert!(threads >= 1, "need at least one thread");
     config.validate();
 
-    let results: Vec<SimResult> = swarm_stats::parallel::run_indexed(n, threads, |i| {
-        run(&SimConfig {
+    let runs: Vec<Pooled> = swarm_stats::parallel::run_indexed(n, threads, |i| {
+        Pooled::of_run(run(&SimConfig {
             seed: config.seed.wrapping_add(i as u64),
             ..*config
-        })
+        }))
     });
 
-    let per_run_means: Vec<f64> = results.iter().map(|r| r.mean_download_time()).collect();
-    let mut iter = results.into_iter();
-    let mut pooled = iter.next().expect("n >= 1");
-    for (i, r) in iter.enumerate() {
-        pooled.absorb(&r, (i + 1) as u64);
-    }
+    let per_run_means: Vec<f64> = runs.iter().map(Pooled::mean_download_time).collect();
     Replicated {
-        pooled,
+        pooled: Pooled::pool(runs),
         per_run_means,
         replications: n,
     }
@@ -94,6 +174,37 @@ mod tests {
         // Replication order is fixed by seed, so pooled samples match
         // exactly (order within pooling is by replica index in both).
         assert_eq!(serial.per_run_means, parallel.per_run_means);
+        assert_eq!(
+            serial.pooled.download_times.values(),
+            parallel.pooled.download_times.values()
+        );
+        assert_eq!(
+            serial.pooled.availability.to_bits(),
+            parallel.pooled.availability.to_bits()
+        );
+    }
+
+    #[test]
+    fn pool_concatenates_in_order_sums_counts_and_averages_availability() {
+        let part = |arrivals, completions, availability, times: &[f64]| Pooled {
+            arrivals,
+            completions,
+            availability,
+            download_times: times.iter().copied().collect(),
+            busy_periods: times.iter().map(|t| t + 1.0).collect(),
+            ..Default::default()
+        };
+        let pooled = Pooled::pool(vec![
+            part(10, 8, 0.5, &[10.0, 30.0]),
+            part(6, 5, 0.9, &[20.0]),
+            part(4, 4, 0.1, &[]),
+        ]);
+        assert_eq!(pooled.arrivals, 20);
+        assert_eq!(pooled.completions, 17);
+        assert_eq!(pooled.download_times.values(), &[10.0, 30.0, 20.0]);
+        assert_eq!(pooled.busy_periods.values(), &[11.0, 31.0, 21.0]);
+        let running: f64 = ((0.5 + 0.9) / 2.0 * 2.0 + 0.1) / 3.0;
+        assert_eq!(pooled.availability.to_bits(), running.to_bits());
     }
 
     #[test]

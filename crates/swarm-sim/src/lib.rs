@@ -22,6 +22,8 @@
 //!   busy periods, availability fraction;
 //! * [`timeline`] — per-entity presence intervals (Figures 2 and 5);
 //! * [`experiment`] — parallel replications with confidence intervals;
+//!   each replication keeps only what callers read ([`Pooled`]), and
+//!   the pool joins their samples at exact size;
 //! * [`validate`] — packaged model-vs-simulation comparisons.
 //!
 //! # Example
@@ -60,7 +62,7 @@ pub mod validate;
 
 pub use config::{Patience, PublisherProcess, ServiceModel, SimConfig};
 pub use engine::run;
-pub use experiment::{replicate, Replicated};
+pub use experiment::{replicate, Pooled, Replicated};
 pub use metrics::SimResult;
 pub use timeline::{EntityState, Timeline};
 pub use trace::run_trace;

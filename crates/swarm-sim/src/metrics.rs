@@ -59,22 +59,6 @@ impl SimResult {
     pub fn mean_download_time(&self) -> f64 {
         self.download_times.mean()
     }
-
-    /// Merge another replication's result into this one (per-peer samples
-    /// concatenate; availability averages weighted equally — callers run
-    /// identical-length replications). Timelines and availability
-    /// intervals are per-run artifacts: the first run's are kept.
-    pub fn absorb(&mut self, other: &SimResult, replications_so_far: u64) {
-        self.download_times.extend_from(&other.download_times);
-        self.waiting_times.extend_from(&other.waiting_times);
-        self.arrivals += other.arrivals;
-        self.completions += other.completions;
-        self.blocked += other.blocked;
-        self.in_flight_at_horizon += other.in_flight_at_horizon;
-        self.busy_periods.extend_from(&other.busy_periods);
-        let n = replications_so_far as f64;
-        self.availability = (self.availability * n + other.availability) / (n + 1.0);
-    }
 }
 
 #[cfg(test)]
@@ -95,28 +79,5 @@ mod tests {
             ..Default::default()
         };
         assert!((r.blocked_fraction() - 0.3).abs() < 1e-12);
-    }
-
-    #[test]
-    fn absorb_accumulates_counts_and_averages_availability() {
-        let mut a = SimResult {
-            arrivals: 10,
-            completions: 8,
-            availability: 0.5,
-            ..Default::default()
-        };
-        a.download_times.add(10.0);
-        let mut b = SimResult {
-            arrivals: 6,
-            completions: 5,
-            availability: 0.9,
-            ..Default::default()
-        };
-        b.download_times.add(20.0);
-        a.absorb(&b, 1);
-        assert_eq!(a.arrivals, 16);
-        assert_eq!(a.completions, 13);
-        assert_eq!(a.download_times.len(), 2);
-        assert!((a.availability - 0.7).abs() < 1e-12);
     }
 }

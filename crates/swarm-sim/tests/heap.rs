@@ -1,12 +1,13 @@
 //! Per-call heap of the flow simulator, counted by a global allocator.
 //!
 //! The engine's heap must follow the peers in the system, not every peer
-//! that ever arrived. The allocator counter is process-wide, so this file
-//! holds exactly one test and nothing else allocates while it measures.
+//! that ever arrived, and `replicate` must hold little beyond the samples
+//! it pools. The allocator counter is process-wide, so this file holds
+//! exactly one test and nothing else allocates while it measures.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
-use swarm_sim::{run, Patience, PublisherProcess, ServiceModel, SimConfig};
+use swarm_sim::{replicate, run, Patience, PublisherProcess, ServiceModel, SimConfig};
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
@@ -59,13 +60,13 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOC: Counting = Counting;
 
-/// Most heap bytes live at once during `run(cfg)`, above those live
-/// when it began.
-fn call_heap(cfg: &SimConfig) -> usize {
+/// Most heap bytes live at once during `f()`, above those live when it
+/// began, and what `f` returned.
+fn call_heap<T>(f: impl FnOnce() -> T) -> (usize, T) {
     let base = LIVE.load(Relaxed);
     PEAK.store(base, Relaxed);
-    drop(run(cfg));
-    PEAK.load(Relaxed) - base
+    let out = f();
+    (PEAK.load(Relaxed) - base, out)
 }
 
 #[test]
@@ -108,10 +109,32 @@ fn heap_follows_peers_in_the_system_not_every_arrival() {
             },
         ),
     ] {
-        let peak = call_heap(&cfg);
+        let (peak, _) = call_heap(|| run(&cfg));
         assert!(
             peak < 64 * 1024,
             "{label}: one run's peak heap is {peak} B over {horizon} s"
         );
     }
+
+    // Figure 6(c)'s bundle, three replications on one thread, as the
+    // quick suite runs it: about 74,000 pooled download times. Each run
+    // keeps its download times at their length, and the pool copies them
+    // into one exactly sized vector, so the call peaks at 1.67 times the
+    // pooled bytes. Keeping every run's whole result, and pooling by
+    // doubling the first one's vectors, read 4.41 times.
+    let bundle = SimConfig {
+        lambda: (1..=4).map(|i| 1.0 / (8.0 * f64::from(i))).sum(),
+        service: ServiceModel::Exponential { mean: 320.0 },
+        coverage_threshold: 9,
+        horizon: 100_000.0,
+        warmup: 5_000.0,
+        seed: 6405,
+        ..base
+    };
+    let (peak, rep) = call_heap(|| replicate(&bundle, 3, 1));
+    let pooled = rep.pooled.download_times.len() * std::mem::size_of::<f64>();
+    assert!(
+        peak < 2 * pooled,
+        "replicate peaked at {peak} B for {pooled} B of pooled download times"
+    );
 }

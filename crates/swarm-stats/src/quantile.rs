@@ -6,8 +6,9 @@ use serde::{Deserialize, Serialize};
 /// A batch of finite observations supporting exact quantiles.
 ///
 /// Observations are kept unsorted until a quantile is requested; sorting is
-/// memoized. This matches how the experiment harnesses use it: accumulate
-/// download times during a run, then report quartiles at the end.
+/// in place and memoized. This matches how the experiment harnesses use
+/// it: accumulate download times during a run, then report quartiles at
+/// the end.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Samples {
     values: Vec<f64>,
@@ -35,10 +36,32 @@ impl Samples {
         }
     }
 
-    /// Absorb all observations from another sample set.
-    pub fn extend_from(&mut self, other: &Samples) {
-        self.values.extend_from_slice(&other.values);
-        self.sorted = false;
+    /// The observations of every part, in part order, in one vector of
+    /// exactly their count.
+    ///
+    /// The first part's vector is grown once to the total and each later
+    /// part is freed as soon as it is copied, so pooling `n` equal parts
+    /// peaks at the total plus `n - 1` parts, not at twice a vector that
+    /// grew by doubling.
+    pub fn concat(parts: Vec<Samples>) -> Samples {
+        let total = parts.iter().map(Samples::len).sum::<usize>();
+        let mut parts = parts.into_iter();
+        let mut values = parts.next().map(|first| first.values).unwrap_or_default();
+        values.reserve_exact(total - values.len());
+        for part in parts {
+            values.extend_from_slice(&part.values);
+        }
+        // Only a first part with spare capacity leaves any.
+        values.shrink_to_fit();
+        Samples {
+            values,
+            sorted: false,
+        }
+    }
+
+    /// Free the spare capacity that adding one value at a time leaves.
+    pub fn shrink_to_fit(&mut self) {
+        self.values.shrink_to_fit();
     }
 
     /// Number of observations.
@@ -70,10 +93,13 @@ impl Samples {
         Summary::from_slice(&self.values)
     }
 
+    /// Sort in place. Under `total_cmp` two finite values compare equal
+    /// only when their bits are equal, so the sorted sequence is unique
+    /// and the unstable sort, which allocates nothing, gives the one a
+    /// stable sort would.
     fn ensure_sorted(&mut self) {
         if !self.sorted {
-            self.values
-                .sort_by(|a, b| a.partial_cmp(b).expect("finite values compare"));
+            self.values.sort_unstable_by(f64::total_cmp);
             self.sorted = true;
         }
     }
@@ -226,11 +252,46 @@ mod tests {
     }
 
     #[test]
-    fn extend_from_combines() {
-        let mut a = Samples::from_iter([1.0, 2.0]);
-        let b = Samples::from_iter([3.0, 4.0]);
-        a.extend_from(&b);
-        assert_eq!(a.len(), 4);
-        assert!((a.mean() - 2.5).abs() < 1e-12);
+    fn quantiles_over_repeated_values() {
+        let mut s = Samples::from_iter([2.0, 1.0, 2.0, 3.0, 2.0, 1.0, 2.0]);
+        // Sorted: 1 1 2 2 2 2 3; type-7 positions q·6.
+        assert_eq!(s.quantile(0.0), 1.0);
+        assert_eq!(s.quantile(1.0 / 6.0), 1.0);
+        assert_eq!(s.quantile(0.25), 1.5);
+        assert_eq!(s.median(), 2.0);
+        assert_eq!(s.quantile(0.75), 2.0);
+        assert_eq!(s.quantile(11.0 / 12.0), 2.5);
+        assert_eq!(s.quantile(1.0), 3.0);
+        assert_eq!(s.values(), &[1.0, 1.0, 2.0, 2.0, 2.0, 2.0, 3.0]);
+    }
+
+    #[test]
+    fn concat_keeps_part_order_at_exact_capacity() {
+        let parts = vec![
+            Samples::from_iter([3.0, 1.0, 2.0]),
+            Samples::new(),
+            Samples::from_iter([5.0]),
+            Samples::from_iter([4.0, 0.5]),
+        ];
+        let mut s = Samples::concat(parts);
+        assert_eq!(s.values(), &[3.0, 1.0, 2.0, 5.0, 4.0, 0.5]);
+        assert_eq!(s.values.capacity(), 6);
+        assert_eq!(s.median(), 2.5);
+
+        // A first part with spare room is trimmed to the total.
+        let mut roomy = Samples::from_iter([1.0]);
+        roomy.values.reserve(100);
+        let s = Samples::concat(vec![roomy, Samples::from_iter([2.0])]);
+        assert_eq!(s.values(), &[1.0, 2.0]);
+        assert_eq!(s.values.capacity(), 2);
+
+        let one = Samples::concat(vec![Samples::from_iter([7.0, 8.0, 9.0])]);
+        assert_eq!(one.values(), &[7.0, 8.0, 9.0]);
+        assert_eq!(one.values.capacity(), 3);
+
+        assert!(Samples::concat(Vec::new()).is_empty());
+        let empty = Samples::concat(vec![Samples::new(), Samples::new()]);
+        assert!(empty.is_empty());
+        assert_eq!(empty.values.capacity(), 0);
     }
 }
