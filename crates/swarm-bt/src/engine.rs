@@ -21,14 +21,16 @@
 //! and peer departures. The availability check, the rarest-first policy
 //! and every timeline curve read the index in O(1) per value. Per-tick
 //! temporaries live in scratch buffers owned by the engine, so once they
-//! are warm a tick allocates only where a peer's own lists grow: a new
-//! connection row, or a new open partial piece.
+//! are warm a tick allocates only where a peer's own lists change size: a
+//! new connection row or open partial piece past the list's capacity, or
+//! a list left at most a quarter full giving capacity back.
 //!
 //! Partial-piece progress is kept per open partial, not per piece: a
 //! downloader lists the `(piece, bytes)` of the pieces it has started and
 //! not finished, and each connection's request names its piece by slot
 //! in that list. A blocked leecher of a K-file bundle therefore costs a
-//! few dozen entries, not a row of `num_pieces` cells.
+//! few dozen entries, not a row of `num_pieces` cells, nor the capacity
+//! its lists had at their busiest.
 //!
 //! This is the repo's stand-in for the paper's PlanetLab testbed: it
 //! reproduces the protocol-level phenomena of §4 — blocked leechers,
@@ -389,7 +391,11 @@ impl ReplicationIndex {
 /// the publisher (there is no `is_publisher` array — `i == PUBLISHER` is
 /// the check). The per-peer lists (`neighbors`, `conns`, `partials`) are
 /// the peer's own heap allocations: each grows while the peer needs it
-/// and is freed once it no longer can (`complete`, `depart`).
+/// and is freed once it no longer can (a completion empties `partials`,
+/// `depart` frees the other two). `conns` and `partials` also follow
+/// their live length while the peer is online: the window roll and piece
+/// completions shrink a list left at most a quarter full ([`give_back`]),
+/// so neither keeps the capacity of the peer's busiest moment.
 #[derive(Default)]
 struct Peers {
     online: Vec<bool>,
@@ -408,7 +414,9 @@ struct Peers {
     /// ever arrived; pairing stamp and accumulator keeps the transfer
     /// loop's cap check to one cache line per downloader.
     recv: Vec<(u64, f64)>,
-    neighbors: Vec<Vec<usize>>,
+    /// Per-peer neighbor ids, as `u32` like [`Conn::u`] (`spawn_peer`
+    /// checks that every id fits).
+    neighbors: Vec<Vec<u32>>,
     /// Per-downloader connection rows, one per distinct uploader (see
     /// [`Conn`]). Replaces the three separate association lists the
     /// engine used to keep (`recv_prev`, `recv_cur`, `assigned`): the
@@ -425,9 +433,21 @@ struct Peers {
     /// completed, in no order. An entry is made when a connection is
     /// first assigned its piece and `swap_remove`d when the piece
     /// completes; requests name entries by slot ([`Conn::slot`]). The
-    /// list is freed when the download completes: a seed never
+    /// last completion empties the list, which frees it: a seed never
     /// downloads again.
     partials: Vec<Vec<(u32, f64)>>,
+}
+
+/// Give back a per-peer list's spare capacity once it is at most a
+/// quarter full, keeping room for it to double again; an empty list is
+/// freed. Between two calls a list only grows, so it holds at most four
+/// times its length (Vec's smallest allocation is four slots) and no
+/// capacity when empty. After a shrink the list reallocates again only
+/// once its length doubles or halves.
+fn give_back<T>(list: &mut Vec<T>) {
+    if list.len() * 4 <= list.capacity() {
+        list.shrink_to(2 * list.len());
+    }
 }
 
 /// Sentinel for [`Conn::slot`]: no active request on this connection.
@@ -440,10 +460,12 @@ const NO_SLOT: u32 = u32::MAX;
 /// onto the same partial piece and the publisher's capacity re-sends
 /// content leechers already serve, starving the swarm of *new* pieces.
 /// Requests idle beyond [`REQUEST_TIMEOUT`] expire (mainline's request
-/// timeout), releasing the piece: expiry just clears `slot` to
-/// [`NO_SLOT`], and rows that are fully dead — no active request, no
-/// bytes in the previous window — are compacted away at the next window
-/// roll, where dropping them is invisible to every reader.
+/// timeout), releasing the piece. Expiry is lazy: nothing writes
+/// [`NO_SLOT`] when a request times out, and every reader asks
+/// `request_live`, which treats a timed-out request as no request. Rows
+/// with no live request and no bytes in the window just closed are
+/// dropped at the window roll (`rechoke`), where dropping them is
+/// invisible to every reader.
 /// The byte fields are the reciprocity windows the old `recv_cur` /
 /// `recv_prev` lists kept: bytes received from `u` in the current and
 /// previous rechoke window (an entry "exists" in the old sense when the
@@ -811,7 +833,7 @@ impl<'c> BtEngine<'c> {
             self.pex_round();
         }
         if self.force_rechoke || tick.is_multiple_of(self.cfg.rechoke_interval) {
-            self.rechoke();
+            self.rechoke(tick);
             self.force_rechoke = false;
         }
         let (bytes, receivers) = self.transfer_round(tick);
@@ -1109,7 +1131,7 @@ impl<'c> BtEngine<'c> {
     fn active_neighbor_count(&self, i: usize) -> usize {
         self.peers.neighbors[i]
             .iter()
-            .filter(|&&n| self.peers.online[n])
+            .filter(|&&n| self.peers.online[n as usize])
             .count()
     }
 
@@ -1132,10 +1154,10 @@ impl<'c> BtEngine<'c> {
         // their TCP connections, freeing slots for newcomers.
         if self.active_neighbor_count(a) < self.cfg.max_neighbors
             && self.active_neighbor_count(b) < self.cfg.max_neighbors
-            && !self.peers.neighbors[a].contains(&b)
+            && !self.peers.neighbors[a].contains(&(b as u32))
         {
-            self.peers.neighbors[a].push(b);
-            self.peers.neighbors[b].push(a);
+            self.peers.neighbors[a].push(b as u32);
+            self.peers.neighbors[b].push(a as u32);
             // Both ends are online: PEX now has a gossip partner, and an
             // interested end gives rechoke a pair to unchoke.
             self.quiet.pex = false;
@@ -1203,6 +1225,12 @@ impl<'c> BtEngine<'c> {
             self.result.arrivals += 1;
         }
         let id = self.peers.push(true, upload, tick, None, counted, 0);
+        // Neighbor lists, connection rows and transfer plans store ids as
+        // `u32`; this is the one place ids are made.
+        assert!(
+            u32::try_from(id).is_ok(),
+            "peer id {id} does not fit in u32"
+        );
         let row = self.bits.push_row();
         debug_assert_eq!(row, id, "bitmap arena row out of sync with peer id");
         self.partial_bits.push_row();
@@ -1236,7 +1264,7 @@ impl<'c> BtEngine<'c> {
         for idx in 0..self.online_ids.len() {
             let i = self.online_ids[idx];
             let mut neighbors = std::mem::take(&mut self.peers.neighbors[i]);
-            neighbors.retain(|&n| self.peers.online[n]);
+            neighbors.retain(|&n| self.peers.online[n as usize]);
             self.peers.neighbors[i] = neighbors;
         }
         // Ascending-id scan, not `online_ids`: each lonely peer's
@@ -1269,8 +1297,8 @@ impl<'c> BtEngine<'c> {
             let mut online_neighbors = std::mem::take(&mut self.scratch_nb);
             online_neighbors.clear();
             for &n in &self.peers.neighbors[id] {
-                if self.peers.online[n] {
-                    online_neighbors.push(n);
+                if self.peers.online[n as usize] {
+                    online_neighbors.push(n as usize);
                 }
             }
             let partner = online_neighbors.choose(&mut self.rng).copied();
@@ -1282,6 +1310,7 @@ impl<'c> BtEngine<'c> {
             let mut shared = std::mem::take(&mut self.scratch_ids);
             shared.clear();
             for &n in &self.peers.neighbors[partner] {
+                let n = n as usize;
                 if n != id && self.peers.online[n] {
                     shared.push(n);
                 }
@@ -1358,7 +1387,7 @@ impl<'c> BtEngine<'c> {
     /// each unchoked peer a sustained stream (mainline behavior; without
     /// persistence a publisher facing many stuck peers hands every peer an
     /// epsilon of capacity and nobody ever finishes a piece).
-    fn rechoke(&mut self) {
+    fn rechoke(&mut self, tick: u64) {
         // Only online peers need the window roll: departed leechers never
         // come back (their windows are never read again) and the
         // publisher — the one peer that can re-join — never receives
@@ -1366,14 +1395,17 @@ impl<'c> BtEngine<'c> {
         for idx in 0..self.online_ids.len() {
             let i = self.online_ids[idx];
             // Roll the reciprocity windows and compact: a row with no
-            // active request and no bytes entering the scoring window is
+            // live request and no bytes entering the scoring window is
             // invisible to every reader, so this is the one place rows
-            // are dropped.
-            self.peers.conns[i].retain_mut(|c| {
+            // are dropped, and the list gives back what it no longer
+            // needs.
+            let rows = &mut self.peers.conns[i];
+            rows.retain_mut(|c| {
                 c.prev = c.cur;
                 c.cur = 0.0;
-                c.slot != NO_SLOT || c.prev > 0.0
+                Self::request_live(c, tick) || c.prev > 0.0
             });
+            give_back(rows);
         }
         self.unchoked_from.clear();
         self.unchoked_off.clear();
@@ -1392,8 +1424,8 @@ impl<'c> BtEngine<'c> {
             interested.clear();
             let u_bits = self.bits.row(u);
             for &d in &self.peers.neighbors[u] {
-                if self.wants(u_bits, d) {
-                    interested.push(d);
+                if self.wants(u_bits, d as usize) {
+                    interested.push(d as usize);
                 }
             }
             if interested.is_empty() {
@@ -1453,9 +1485,10 @@ impl<'c> BtEngine<'c> {
     /// un-ages it on both schemes). Readers: the `pick_piece` continue
     /// check and the taken-piece bitmap — both only reached when
     /// transfer has allocations, so an expiry never needs a
-    /// fast-forward wake of its own. Dead rows keep their `slot` until
-    /// their piece completes or a reader reassigns them, and are
-    /// compacted at window rolls.
+    /// fast-forward wake of its own — and the window roll, which drops
+    /// a row whose request is not live unless its uploader sent bytes in
+    /// the window just closed. A timed-out row keeps its `slot` until
+    /// then, or until its piece completes or `assign` reuses the row.
     #[inline]
     fn request_live(c: &Conn, tick: u64) -> bool {
         c.slot != NO_SLOT && tick.saturating_sub(c.ts) < REQUEST_TIMEOUT
@@ -1559,6 +1592,9 @@ impl<'c> BtEngine<'c> {
                 open.swap_remove(slot);
                 // The old slot of the entry `swap_remove` moved into `slot`.
                 let moved = open.len() as u32;
+                // The last completion empties the list, so a seed keeps
+                // no capacity here.
+                give_back(open);
                 self.bits.set(d, piece);
                 self.peers.num_held[d] += 1;
                 self.rep.gain(piece);
@@ -1762,9 +1798,6 @@ impl<'c> BtEngine<'c> {
         self.result
             .completion_curve
             .push((done_at, self.completions_total));
-        // A seed never downloads again: free its open-partial list, which
-        // its last piece emptied.
-        self.peers.partials[d] = Vec::new();
         if self.peers.counted[d] {
             self.result.completions += 1;
             self.result
@@ -1907,6 +1940,23 @@ impl<'c> BtEngine<'c> {
                 };
                 assert!(named, "peer {i}: request on slot {} names no entry", c.slot);
             }
+        }
+        // Online peers' lists follow their live length (`give_back`): at
+        // most four times it in capacity, and none when empty.
+        for &i in &self.online_ids {
+            let (rows, open) = (&self.peers.conns[i], &self.peers.partials[i]);
+            assert!(
+                rows.capacity() <= 4 * rows.len(),
+                "peer {i} holds {} connection slots for {} rows",
+                rows.capacity(),
+                rows.len()
+            );
+            assert!(
+                open.capacity() <= 4 * open.len(),
+                "peer {i} holds {} open-partial slots for {} entries",
+                open.capacity(),
+                open.len()
+            );
         }
         // Departed leechers keep no neighbor or connection storage.
         for i in (1..self.peers.len()).filter(|&i| self.peers.departed[i].is_some()) {

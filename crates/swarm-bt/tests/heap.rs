@@ -1,7 +1,8 @@
 //! Per-call heap of the block engine, counted by a global allocator.
 //!
 //! The engine's heap must follow the peers that are online and
-//! downloading, not the horizon and not every peer that ever arrived.
+//! downloading, not the horizon, not every peer that ever arrived and not
+//! the busiest moment of a peer's lists.
 //! The allocator counter is process-wide, so this file holds exactly one
 //! test and nothing else allocates while it measures.
 
@@ -166,4 +167,33 @@ fn heap_follows_live_downloaders_not_horizon_or_history() {
         "each blocked leecher costs {large} B at K=32 but {small} B at K=4, \
          at least half the {row_gap} B gap between dense progress rows"
     );
+
+    // A peer's lists follow their live length, not its busiest moment.
+    // On swarmbench bt-busy's two shapes a few hundred leechers pile up
+    // behind the publisher, and the window roll and piece completions
+    // hand their connection and open-partial lists' spare capacity back.
+    // At seeds 1 and 2 the K=16 runs peak at 492,288 and 697,088 B and
+    // the K=32 runs at 551,616 and 468,032 B. Lists that kept their
+    // busiest moment's capacity, with 8-byte neighbor ids, read 890,208
+    // and 1,045,728 B (K=16) and 785,856 and 732,608 B (K=32).
+    for seed in [1, 2] {
+        let shapes = [
+            (
+                BtConfig {
+                    drain_ticks: 600,
+                    ..BtConfig::paper_section_4_3(16, seed)
+                },
+                768 * 1024,
+            ),
+            (BtConfig::paper_section_4_2(32, seed), 640 * 1024),
+        ];
+        for (cfg, bound) in shapes {
+            let peak = call_heap(&cfg);
+            assert!(
+                peak < bound,
+                "K={} seed {seed}: peak heap {peak} B, over {bound} B",
+                cfg.num_files
+            );
+        }
+    }
 }
