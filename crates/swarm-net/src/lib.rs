@@ -44,5 +44,5 @@ pub use peer::{PeerCore, PeerParams, MIN_NEIGHBORS, PUBLISHER, REQUEST_TIMEOUT, 
 pub use run::{peer_stream, publisher_online_at, run_live, HostMode, NetResult, NET_TS_WINDOW};
 pub use tcp::{run_tcp_smoke_with, TcpSmokeOpts, TcpSmokeReport};
 pub use tracker::TrackerCore;
-pub use transport::{Envelope, LoopbackHub};
-pub use wire::{decode, drain_frames, encode, Message, WireError};
+pub use transport::LoopbackHub;
+pub use wire::{decode, drain_frames, encode, encode_into, Message, WireError};

@@ -160,77 +160,109 @@ fn kb_to_bytes(kb: f64) -> u64 {
     (kb * 1024.0).round() as u64
 }
 
-/// What we know about one neighbor: one entry of a peer's
-/// [`NeighborTable`], which keys it by endpoint id. A peer keeps it
-/// until the peer itself departs.
+/// No piece: the empty value of [`Neighbor`]'s two request fields.
+/// Piece numbers stay below the piece count, which a `u32` bounds.
+const NO_PIECE: u32 = u32::MAX;
+
+/// What we know about one neighbor: one record of a peer's
+/// [`NeighborTable`]. A peer keeps it until the peer itself departs.
 #[derive(Debug, Clone)]
 struct Neighbor {
     bitfield: Bitfield,
+    /// kB received from them in the current rechoke window.
+    recv_window: f64,
+    /// Previous window — the tit-for-tat score.
+    recv_prev: f64,
+    /// Last tick data arrived for `our_request`, or it was issued (the
+    /// timeout stamp). Meaningless while `our_request` is [`NO_PIECE`].
+    request_stamp: u64,
+    /// Endpoint id: the table's sort key.
+    id: u32,
+    /// Piece we asked them for, or [`NO_PIECE`].
+    our_request: u32,
+    /// Piece they asked us for (service continues until cancelled), or
+    /// [`NO_PIECE`].
+    their_request: u32,
     /// They told us they want something we have.
     they_interested: bool,
     /// We told them we want something they have.
     we_interested: bool,
     we_choke_them: bool,
     they_choke_us: bool,
-    /// Piece they asked us for (service continues until cancelled).
-    their_request: Option<u32>,
-    /// Piece we asked them for, plus the last tick data arrived for it
-    /// (the timeout stamp).
-    our_request: Option<(u32, u64)>,
-    /// kB received from them in the current rechoke window.
-    recv_window: f64,
-    /// Previous window — the tit-for-tat score.
-    recv_prev: f64,
-    /// Tick the current request was issued — unlike the timeout stamp
-    /// in `our_request`, never refreshed by arriving data, so it
-    /// anchors the request→piece latency. Telemetry only.
-    requested_at: u64,
-    /// Telemetry flag: we snubbed them on a request timeout and they
-    /// have not proven liveness (sent `Unchoke`) since.
-    snubbed: bool,
-    /// Telemetry flag: the current service episode already emitted its
-    /// `net.xfer` serve event (reset each time they place a request).
-    serve_logged: bool,
-    /// Lazily interned per-connection byte counters, labelled in
-    /// data-flow direction (`remote->local` in, `local->remote` out).
-    obs_bytes_in: Option<&'static Counter>,
-    obs_bytes_out: Option<&'static Counter>,
 }
 
+// A table entry is this record and nothing else: 72 bytes, where the
+// `(usize, Neighbor)` pair with `Option` request fields and the
+// telemetry inline took 120.
+const _: () = assert!(std::mem::size_of::<Neighbor>() <= 72);
+
 impl Neighbor {
-    fn new(num_pieces: usize) -> Self {
+    fn new(id: u32, num_pieces: usize) -> Self {
         Neighbor {
             bitfield: Bitfield::new(num_pieces),
+            recv_window: 0.0,
+            recv_prev: 0.0,
+            request_stamp: 0,
+            id,
+            our_request: NO_PIECE,
+            their_request: NO_PIECE,
             they_interested: false,
             we_interested: false,
             we_choke_them: true,
             they_choke_us: true,
-            their_request: None,
-            our_request: None,
-            recv_window: 0.0,
-            recv_prev: 0.0,
-            requested_at: 0,
-            snubbed: false,
-            serve_logged: false,
-            obs_bytes_in: None,
-            obs_bytes_out: None,
         }
+    }
+
+    fn id(&self) -> usize {
+        self.id as usize
     }
 }
 
-/// A peer's neighbors as `(endpoint id, state)` pairs in a `Vec` sorted
-/// by id: lookups binary-search, inserts keep the order, and iteration
-/// is ascending by id, so RNG draws and frames follow a fixed order.
+/// The telemetry-only half of a neighbor's state. A [`NeighborTable`]
+/// keeps one beside each record while the core's probes are on, and
+/// none while they are off.
+#[derive(Debug, Clone, Default)]
+struct NeighborObs {
+    /// Tick the current request was issued — unlike the timeout stamp,
+    /// never refreshed by arriving data, so it anchors the
+    /// request→piece latency.
+    requested_at: u64,
+    /// We snubbed them on a request timeout and they have not proven
+    /// liveness (sent `Unchoke`) since.
+    snubbed: bool,
+    /// The current service episode already emitted its `net.xfer` serve
+    /// event (reset each time they place a request).
+    serve_logged: bool,
+    /// Lazily interned per-connection byte counters, labelled in
+    /// data-flow direction (`remote->local` in, `local->remote` out).
+    bytes_in: Option<&'static Counter>,
+    bytes_out: Option<&'static Counter>,
+}
+
+/// A peer's neighbors as [`Neighbor`] records in a `Vec` sorted by
+/// endpoint id: lookups binary-search, inserts keep the order, and
+/// iteration is ascending by id, so RNG draws and frames follow a fixed
+/// order. The table holds exactly its entries: an insert reserves room
+/// for one more and a removal gives the freed slot back. `obs` is the
+/// telemetry side table, index for index with `entries` while the
+/// core's probes are on and empty while they are off.
 #[derive(Debug, Default)]
-struct NeighborTable(Vec<(usize, Neighbor)>);
+struct NeighborTable {
+    entries: Vec<Neighbor>,
+    obs: Vec<NeighborObs>,
+}
 
 impl NeighborTable {
     fn position(&self, id: usize) -> Result<usize, usize> {
-        self.0.binary_search_by_key(&id, |&(k, _)| k)
+        match u32::try_from(id) {
+            Ok(id) => self.entries.binary_search_by_key(&id, |n| n.id),
+            // Above every id the table can hold.
+            Err(_) => Err(self.entries.len()),
+        }
     }
 
     fn len(&self) -> usize {
-        self.0.len()
+        self.entries.len()
     }
 
     fn contains(&self, id: usize) -> bool {
@@ -238,45 +270,70 @@ impl NeighborTable {
     }
 
     fn get(&self, id: usize) -> Option<&Neighbor> {
-        self.position(id).ok().map(|i| &self.0[i].1)
+        self.position(id).ok().map(|i| &self.entries[i])
     }
 
     fn get_mut(&mut self, id: usize) -> Option<&mut Neighbor> {
-        self.position(id).ok().map(|i| &mut self.0[i].1)
+        self.position(id).ok().map(|i| &mut self.entries[i])
     }
 
-    /// Add a neighbor not yet in the table at its place in id order.
-    fn insert(&mut self, id: usize, n: Neighbor) {
-        let at = self.position(id).expect_err("neighbor ids are unique");
-        self.0.insert(at, (id, n));
+    /// Neighbor `id`'s record and, while probes are on, its telemetry.
+    fn get_with_obs(&self, id: usize) -> Option<(&Neighbor, Option<&NeighborObs>)> {
+        let i = self.position(id).ok()?;
+        Some((&self.entries[i], self.obs.get(i)))
     }
 
+    fn get_mut_with_obs(&mut self, id: usize) -> Option<(&mut Neighbor, Option<&mut NeighborObs>)> {
+        let i = self.position(id).ok()?;
+        Some((&mut self.entries[i], self.obs.get_mut(i)))
+    }
+
+    /// Add a neighbor not yet in the table at its place in id order,
+    /// with a telemetry half when `observed`.
+    fn insert(&mut self, n: Neighbor, observed: bool) {
+        let at = self.position(n.id()).expect_err("neighbor ids are unique");
+        self.entries.reserve_exact(1);
+        self.entries.insert(at, n);
+        if observed {
+            self.obs.reserve_exact(1);
+            self.obs.insert(at, NeighborObs::default());
+        }
+    }
+
+    /// Slots allocated for records.
     fn capacity(&self) -> usize {
-        self.0.capacity()
+        self.entries.capacity()
+    }
+
+    /// Telemetry halves held, and slots allocated for them.
+    fn obs_len_and_capacity(&self) -> (usize, usize) {
+        (self.obs.len(), self.obs.capacity())
     }
 
     fn is_strictly_ascending(&self) -> bool {
-        self.0.windows(2).all(|w| w[0].0 < w[1].0)
+        self.entries.windows(2).all(|w| w[0].id < w[1].id)
     }
 
     fn ids(&self) -> impl Iterator<Item = usize> + '_ {
-        self.0.iter().map(|&(id, _)| id)
+        self.entries.iter().map(Neighbor::id)
     }
 
-    fn iter(&self) -> impl Iterator<Item = (usize, &Neighbor)> {
-        self.0.iter().map(|(id, n)| (*id, n))
+    fn iter(&self) -> impl Iterator<Item = &Neighbor> {
+        self.entries.iter()
     }
 
-    fn iter_mut(&mut self) -> impl Iterator<Item = (usize, &mut Neighbor)> {
-        self.0.iter_mut().map(|(id, n)| (*id, n))
+    fn iter_mut(&mut self) -> impl Iterator<Item = &mut Neighbor> {
+        self.entries.iter_mut()
     }
 
-    fn values(&self) -> impl Iterator<Item = &Neighbor> {
-        self.0.iter().map(|(_, n)| n)
-    }
-
-    fn values_mut(&mut self) -> impl Iterator<Item = &mut Neighbor> {
-        self.0.iter_mut().map(|(_, n)| n)
+    /// Each record with its telemetry half (`None` while probes are off).
+    fn iter_mut_with_obs(
+        &mut self,
+    ) -> impl Iterator<Item = (&mut Neighbor, Option<&mut NeighborObs>)> {
+        let obs = self.obs.iter_mut().map(Some);
+        self.entries
+            .iter_mut()
+            .zip(obs.chain(std::iter::repeat_with(|| None)))
     }
 }
 
@@ -381,9 +438,9 @@ impl PeerCore {
         if on && !self.online && !self.departed {
             self.online = true;
             self.needs_announce = true;
-            for n in self.neighbors.values_mut() {
+            for n in self.neighbors.iter_mut() {
                 n.we_choke_them = true;
-                n.their_request = None;
+                n.their_request = NO_PIECE;
             }
         } else if !on {
             self.online = false;
@@ -404,11 +461,12 @@ impl PeerCore {
     /// Run one tick: ingest `inbox` (already in delivery order), then do
     /// this tick's protocol duties. Outgoing messages are pushed onto
     /// `out` as `(destination endpoint, message)` — the host encodes and
-    /// sends them.
+    /// sends them. The inbox is consumed one message at a time, and not
+    /// past the point where the peer goes offline or departs.
     pub fn step(
         &mut self,
         tick: u64,
-        inbox: Vec<(usize, Message)>,
+        inbox: impl IntoIterator<Item = (usize, Message)>,
         out: &mut Vec<(usize, Message)>,
     ) {
         self.run_tick(tick, inbox, out);
@@ -431,12 +489,29 @@ impl PeerCore {
             "peer {}: departed but still holds its neighbor table or progress",
             self.id
         );
+        debug_assert_eq!(
+            self.neighbors.capacity(),
+            self.neighbors.len(),
+            "peer {}: neighbor table keeps spare slots",
+            self.id
+        );
+        let observed = if self.probes.is_some() {
+            self.neighbors.len()
+        } else {
+            0
+        };
+        debug_assert_eq!(
+            self.neighbors.obs_len_and_capacity(),
+            (observed, observed),
+            "peer {}: telemetry side table out of step with the table",
+            self.id
+        );
     }
 
     fn run_tick(
         &mut self,
         tick: u64,
-        inbox: Vec<(usize, Message)>,
+        inbox: impl IntoIterator<Item = (usize, Message)>,
         out: &mut Vec<(usize, Message)>,
     ) {
         self.received_this_tick = 0.0;
@@ -509,18 +584,18 @@ impl PeerCore {
             // Publish the window about to be rolled: this peer's
             // aggregate receive throughput over the last rechoke
             // interval, `net.peer.window_kb{<id>}`.
-            let window: f64 = self.neighbors.values().map(|n| n.recv_window).sum();
+            let window: f64 = self.neighbors.iter().map(|n| n.recv_window).sum();
             pr.window_kb.set(window.round() as i64);
         }
-        for n in self.neighbors.values_mut() {
+        for n in self.neighbors.iter_mut() {
             n.recv_prev = n.recv_window;
             n.recv_window = 0.0;
         }
         let mut interested: Vec<usize> = self
             .neighbors
             .iter()
-            .filter(|(_, n)| n.they_interested)
-            .map(|(id, _)| id)
+            .filter(|n| n.they_interested)
+            .map(Neighbor::id)
             .collect();
         let neighbors = &self.neighbors;
         let chosen = policy::rechoke_order(
@@ -534,7 +609,8 @@ impl PeerCore {
         let unchoked: BTreeSet<usize> = interested[..chosen].iter().copied().collect();
         let probes = self.probes;
         let my_id = self.id;
-        for (id, n) in self.neighbors.iter_mut() {
+        for n in self.neighbors.iter_mut() {
+            let id = n.id();
             let want_open = unchoked.contains(&id);
             if want_open != n.we_choke_them {
                 continue;
@@ -549,7 +625,7 @@ impl PeerCore {
                 }
                 out.push((id, Message::Unchoke));
             } else {
-                n.their_request = None;
+                n.their_request = NO_PIECE;
                 if let Some(pr) = probes {
                     pr.choke_tx.inc();
                     let mut ev = pr.conn(tick, my_id, id, ConnPhase::Choke);
@@ -567,42 +643,43 @@ impl PeerCore {
     fn request_pieces(&mut self, tick: u64, out: &mut Vec<(usize, Message)>) {
         // Local replication view: how many neighbors hold each piece.
         let mut counts = vec![0u32; self.params.num_pieces];
-        for n in self.neighbors.values() {
+        for n in self.neighbors.iter() {
             for p in n.bitfield.ones() {
                 counts[p] += 1;
             }
         }
         let mut in_flight: BTreeSet<usize> = self
             .neighbors
-            .values()
-            .filter_map(|n| n.our_request.map(|(p, _)| p as usize))
+            .iter()
+            .filter(|n| n.our_request != NO_PIECE)
+            .map(|n| n.our_request as usize)
             .collect();
-        for (id, n) in self.neighbors.iter_mut() {
+        for (n, mut obs) in self.neighbors.iter_mut_with_obs() {
+            let id = n.id();
             // Expire a stalled request so the piece can be re-sourced —
             // and snub the silent neighbor (treat it as choking us) so
             // the freed piece is requested from someone alive instead of
             // bouncing back to a dead endpoint forever. An `Unchoke`
             // from the neighbor revives it.
-            if let Some((p, stamp)) = n.our_request {
-                if tick.saturating_sub(stamp) >= REQUEST_TIMEOUT {
-                    n.our_request = None;
-                    n.they_choke_us = true;
-                    n.snubbed = true;
-                    in_flight.remove(&(p as usize));
-                    if let Some(pr) = self.probes {
-                        pr.snubs.inc();
-                        pr.req_cancelled.inc();
-                        let mut ev = pr.conn(tick, self.id, id, ConnPhase::Snub);
-                        ev.piece = Some(p as u64);
-                        ev.emit();
-                        let mut rq = pr.req(tick, self.id, id, p, ReqPhase::Cancel);
-                        rq.reason = Some("timeout".into());
-                        rq.emit();
-                    }
-                    out.push((id, Message::Cancel { piece: p }));
+            let p = n.our_request;
+            if p != NO_PIECE && tick.saturating_sub(n.request_stamp) >= REQUEST_TIMEOUT {
+                n.our_request = NO_PIECE;
+                n.they_choke_us = true;
+                in_flight.remove(&(p as usize));
+                if let (Some(pr), Some(o)) = (self.probes, obs.as_deref_mut()) {
+                    o.snubbed = true;
+                    pr.snubs.inc();
+                    pr.req_cancelled.inc();
+                    let mut ev = pr.conn(tick, self.id, id, ConnPhase::Snub);
+                    ev.piece = Some(p as u64);
+                    ev.emit();
+                    let mut rq = pr.req(tick, self.id, id, p, ReqPhase::Cancel);
+                    rq.reason = Some("timeout".into());
+                    rq.emit();
                 }
+                out.push((id, Message::Cancel { piece: p }));
             }
-            if !n.we_interested || n.they_choke_us || n.our_request.is_some() {
+            if !n.we_interested || n.they_choke_us || n.our_request != NO_PIECE {
                 continue;
             }
             // Want-list via the word-level AND-NOT kernel (ascending
@@ -622,9 +699,10 @@ impl PeerCore {
             };
             if let Some(p) = pick {
                 in_flight.insert(p);
-                n.our_request = Some((p as u32, tick));
-                n.requested_at = tick;
-                if let Some(pr) = self.probes {
+                n.our_request = p as u32;
+                n.request_stamp = tick;
+                if let (Some(pr), Some(o)) = (self.probes, obs) {
+                    o.requested_at = tick;
                     pr.req_sent.inc();
                     pr.req(tick, self.id, id, p as u32, ReqPhase::Tx).emit();
                 }
@@ -640,8 +718,8 @@ impl PeerCore {
         let active: Vec<(usize, u32)> = self
             .neighbors
             .iter()
-            .filter(|(_, n)| !n.we_choke_them)
-            .filter_map(|(id, n)| n.their_request.map(|p| (id, p)))
+            .filter(|n| !n.we_choke_them && n.their_request != NO_PIECE)
+            .map(|n| (n.id(), n.their_request))
             .collect();
         if active.is_empty() || self.upload_cap <= 0.0 {
             return;
@@ -650,14 +728,15 @@ impl PeerCore {
         let my_id = self.id;
         for (id, piece) in active {
             if let Some(pr) = self.probes {
-                let n = self
+                let (_, obs) = self
                     .neighbors
-                    .get_mut(id)
+                    .get_mut_with_obs(id)
                     .expect("active ids come from the table");
-                if !n.serve_logged {
+                let o = obs.expect("probes keep the side table");
+                if !o.serve_logged {
                     // First frame of a service episode: one serve event
                     // per request, however many ticks the stream takes.
-                    n.serve_logged = true;
+                    o.serve_logged = true;
                     pr.pieces_served.inc();
                     XferEvent {
                         run: pr.run,
@@ -671,8 +750,8 @@ impl PeerCore {
                     }
                     .emit();
                 }
-                let c = *n
-                    .obs_bytes_out
+                let c = *o
+                    .bytes_out
                     .get_or_insert_with(|| pr.bytes_out.with_name(&format!("{my_id}->{id}")));
                 c.add(kb_to_bytes(share));
             }
@@ -706,9 +785,9 @@ impl PeerCore {
                     if let Some(pr) = probes {
                         pr.conn(tick, my_id, from, ConnPhase::Handshake).emit();
                     }
-                } else if self.neighbors.len() < self.params.max_neighbors {
+                } else if let Some(id) = self.room_for(from as u64) {
                     self.neighbors
-                        .insert(from, Neighbor::new(self.params.num_pieces));
+                        .insert(Neighbor::new(id, self.params.num_pieces), probes.is_some());
                     if let Some(pr) = probes {
                         pr.conn_accepted.inc();
                         pr.conn(tick, my_id, from, ConnPhase::Handshake).emit();
@@ -722,7 +801,7 @@ impl PeerCore {
                     ));
                     out.push((from, Message::Bitfield(self.bitfield.clone())));
                 } else if let Some(pr) = probes {
-                    // Neighbor table full.
+                    // Neighbor table full (or an id no table holds).
                     pr.conn_refused.inc();
                     pr.conn(tick, my_id, from, ConnPhase::Refused).emit();
                 }
@@ -754,7 +833,7 @@ impl PeerCore {
             Message::NotInterested => {
                 if let Some(n) = self.neighbors.get_mut(from) {
                     n.they_interested = false;
-                    n.their_request = None;
+                    n.their_request = NO_PIECE;
                 }
             }
             Message::Choke => {
@@ -763,30 +842,29 @@ impl PeerCore {
                         let mut ev = pr.conn(tick, my_id, from, ConnPhase::Choke);
                         ev.dir = Some(Dir::Rx);
                         ev.emit();
-                        if let Some((rp, _)) = n.our_request {
+                        if n.our_request != NO_PIECE {
                             // Our outstanding request dies with the
                             // choke — log the resolution before the
                             // state is cleared below.
                             pr.req_choked.inc();
-                            pr.req(tick, my_id, from, rp, ReqPhase::Choked).emit();
+                            pr.req(tick, my_id, from, n.our_request, ReqPhase::Choked)
+                                .emit();
                         }
                     }
                     n.they_choke_us = true;
-                    n.our_request = None;
+                    n.our_request = NO_PIECE;
                 }
             }
             Message::Unchoke => {
-                if let Some(n) = self.neighbors.get_mut(from) {
+                if let Some((n, obs)) = self.neighbors.get_mut_with_obs(from) {
                     n.they_choke_us = false;
-                    if let Some(pr) = probes {
+                    if let (Some(pr), Some(o)) = (probes, obs) {
                         let mut ev = pr.conn(tick, my_id, from, ConnPhase::Unchoke);
                         ev.dir = Some(Dir::Rx);
                         ev.emit();
-                    }
-                    if n.snubbed {
-                        // Liveness proven: the snub episode ends here.
-                        n.snubbed = false;
-                        if let Some(pr) = probes {
+                        if o.snubbed {
+                            // Liveness proven: the snub episode ends here.
+                            o.snubbed = false;
                             pr.rejoins.inc();
                             pr.conn(tick, my_id, from, ConnPhase::Rejoin).emit();
                         }
@@ -797,10 +875,10 @@ impl PeerCore {
                 if !self.bitfield.has(*piece as usize) {
                     return;
                 }
-                if let Some(n) = self.neighbors.get_mut(from) {
-                    n.their_request = Some(*piece);
-                    n.serve_logged = false;
-                    if let Some(pr) = probes {
+                if let Some((n, obs)) = self.neighbors.get_mut_with_obs(from) {
+                    n.their_request = *piece;
+                    if let (Some(pr), Some(o)) = (probes, obs) {
+                        o.serve_logged = false;
                         pr.req_received.inc();
                         pr.req(tick, my_id, from, *piece, ReqPhase::Rx).emit();
                     }
@@ -811,14 +889,14 @@ impl PeerCore {
             }
             Message::Cancel { piece } => {
                 if let Some(n) = self.neighbors.get_mut(from) {
-                    if n.their_request == Some(*piece) {
-                        n.their_request = None;
+                    if n.their_request == *piece {
+                        n.their_request = NO_PIECE;
                     }
                 }
             }
             Message::AnnounceResponse { peers } | Message::PexPeers { peers } => {
                 for &p in peers {
-                    self.connect(p as usize, tick, out);
+                    self.connect(p, tick, out);
                 }
             }
             Message::PexRequest => {
@@ -835,17 +913,27 @@ impl PeerCore {
         }
     }
 
+    /// `pid` as a neighbor id, if it fits `u32` and the table has room.
+    fn room_for(&self, pid: u64) -> Option<u32> {
+        let id = u32::try_from(pid).ok()?;
+        (self.neighbors.len() < self.params.max_neighbors).then_some(id)
+    }
+
     /// Open a connection to `pid` if it is new and there is table room.
-    fn connect(&mut self, pid: usize, tick: u64, out: &mut Vec<(usize, Message)>) {
-        if pid == self.id
-            || pid == TRACKER
-            || self.neighbors.contains(pid)
-            || self.neighbors.len() >= self.params.max_neighbors
-        {
+    /// A peer list can carry any `u64`; one that does not fit `u32`
+    /// names no endpoint, and is ignored.
+    fn connect(&mut self, pid: u64, tick: u64, out: &mut Vec<(usize, Message)>) {
+        let Some(id) = self.room_for(pid) else {
+            return;
+        };
+        let pid = id as usize;
+        if pid == self.id || pid == TRACKER || self.neighbors.contains(pid) {
             return;
         }
-        self.neighbors
-            .insert(pid, Neighbor::new(self.params.num_pieces));
+        self.neighbors.insert(
+            Neighbor::new(id, self.params.num_pieces),
+            self.probes.is_some(),
+        );
         if let Some(pr) = self.probes {
             pr.conn_opened.inc();
             pr.conn(tick, self.id, pid, ConnPhase::Open).emit();
@@ -907,19 +995,17 @@ impl PeerCore {
         self.progress[p] += take;
         self.received_this_tick += take;
         self.bytes_received += take;
-        if let Some(n) = self.neighbors.get_mut(from) {
+        if let Some((n, obs)) = self.neighbors.get_mut_with_obs(from) {
             n.recv_window += take;
-            if let Some(pr) = probes {
-                let c = *n
-                    .obs_bytes_in
+            if let (Some(pr), Some(o)) = (probes, obs) {
+                let c = *o
+                    .bytes_in
                     .get_or_insert_with(|| pr.bytes_in.with_name(&format!("{from}->{my_id}")));
                 c.add(kb_to_bytes(take));
             }
-            if let Some((rp, _)) = n.our_request {
-                if rp == piece {
-                    // Data is flowing: refresh the timeout stamp.
-                    n.our_request = Some((rp, tick));
-                }
+            if n.our_request == piece {
+                // Data is flowing: refresh the timeout stamp.
+                n.request_stamp = tick;
             }
         }
         if self.progress[p] < self.params.piece_size - 1e-9 {
@@ -930,11 +1016,12 @@ impl PeerCore {
         if let Some(pr) = probes {
             // Latency is attributable only when the final bytes came
             // from the neighbor we had the request open at.
-            let latency = self
-                .neighbors
-                .get(from)
-                .filter(|n| n.our_request.is_some_and(|(rp, _)| rp == piece))
-                .map(|n| tick.saturating_sub(n.requested_at));
+            let latency = match self.neighbors.get_with_obs(from) {
+                Some((n, Some(o))) if n.our_request == piece => {
+                    Some(tick.saturating_sub(o.requested_at))
+                }
+                _ => None,
+            };
             pr.pieces_completed.inc();
             if let Some(l) = latency {
                 pr.req_latency.record(l);
@@ -951,21 +1038,20 @@ impl PeerCore {
             }
             .emit();
         }
-        for (id, n) in self.neighbors.iter_mut() {
-            if let Some((rp, _)) = n.our_request {
-                if rp == piece {
-                    // Cancel everyone, the server of the final bytes
-                    // included — otherwise it keeps streaming a piece we
-                    // already hold until its next rechoke.
-                    n.our_request = None;
-                    if let Some(pr) = probes {
-                        pr.req_cancelled.inc();
-                        let mut rq = pr.req(tick, my_id, id, piece, ReqPhase::Cancel);
-                        rq.reason = Some("done".into());
-                        rq.emit();
-                    }
-                    out.push((id, Message::Cancel { piece }));
+        for n in self.neighbors.iter_mut() {
+            let id = n.id();
+            if n.our_request == piece {
+                // Cancel everyone, the server of the final bytes
+                // included — otherwise it keeps streaming a piece we
+                // already hold until its next rechoke.
+                n.our_request = NO_PIECE;
+                if let Some(pr) = probes {
+                    pr.req_cancelled.inc();
+                    let mut rq = pr.req(tick, my_id, id, piece, ReqPhase::Cancel);
+                    rq.reason = Some("done".into());
+                    rq.emit();
                 }
+                out.push((id, Message::Cancel { piece }));
             }
             out.push((id, Message::Have { piece }));
         }
@@ -1059,35 +1145,98 @@ mod tests {
         use rand::Rng;
         use std::collections::btree_map::{BTreeMap, Entry};
         let mut r = rng(9);
-        let mut table = NeighborTable::default();
-        let mut map = BTreeMap::new();
-        for step in 0..4_000u64 {
-            let id = r.gen_range(0..300usize);
-            if r.gen_bool(0.4) {
-                if let Entry::Vacant(slot) = map.entry(id) {
-                    let mut n = Neighbor::new(8);
-                    n.requested_at = step;
-                    table.insert(id, n.clone());
-                    slot.insert(n);
+        for observed in [false, true] {
+            let mut table = NeighborTable::default();
+            let mut map = BTreeMap::new();
+            for step in 0..4_000u64 {
+                let id = r.gen_range(0..300u32);
+                let key = id as usize;
+                if r.gen_bool(0.4) {
+                    if let Entry::Vacant(slot) = map.entry(key) {
+                        let mut n = Neighbor::new(id, 8);
+                        n.request_stamp = step;
+                        let o = NeighborObs {
+                            requested_at: step,
+                            ..NeighborObs::default()
+                        };
+                        table.insert(n.clone(), observed);
+                        if let Some((_, Some(t))) = table.get_mut_with_obs(key) {
+                            *t = o.clone();
+                        }
+                        slot.insert((n, observed.then_some(o)));
+                    }
+                } else {
+                    assert_eq!(table.contains(key), map.contains_key(&key), "id {id}");
+                    let got = table.get_with_obs(key).map(|e| format!("{e:?}"));
+                    let want = map.get(&key).map(|(n, o)| format!("{:?}", (n, o.as_ref())));
+                    assert_eq!(got, want, "id {id}");
+                    if let (Some((a, ao)), Some((b, bo))) =
+                        (table.get_mut_with_obs(key), map.get_mut(&key))
+                    {
+                        a.recv_window += step as f64;
+                        b.recv_window += step as f64;
+                        if let (Some(ao), Some(bo)) = (ao, bo) {
+                            ao.serve_logged = !ao.serve_logged;
+                            bo.serve_logged = !bo.serve_logged;
+                        }
+                    }
                 }
-            } else {
-                assert_eq!(table.contains(id), map.contains_key(&id), "id {id}");
-                let got = table.get(id).map(|n| format!("{n:?}"));
-                assert_eq!(got, map.get(&id).map(|n| format!("{n:?}")), "id {id}");
-                if let (Some(a), Some(b)) = (table.get_mut(id), map.get_mut(&id)) {
-                    a.recv_window += step as f64;
-                    b.recv_window += step as f64;
-                }
+                let len = map.len();
+                assert_eq!(table.len(), len);
+                assert_eq!(table.capacity(), len, "the table holds exactly its entries");
+                let obs = if observed { len } else { 0 };
+                assert_eq!(table.obs_len_and_capacity(), (obs, obs));
             }
-            assert_eq!(table.len(), map.len());
+            assert!(table.len() > 200, "the sequence fills most of the id range");
+            let got: Vec<String> = table
+                .iter_mut_with_obs()
+                .map(|e| format!("{e:?}"))
+                .collect();
+            let want: Vec<String> = map
+                .values_mut()
+                .map(|(n, o)| format!("{:?}", (n, o.as_mut())))
+                .collect();
+            assert_eq!(got, want, "same entries in the same order");
+            assert!(table.ids().eq(map.keys().copied()));
         }
-        assert!(table.len() > 200, "the sequence fills most of the id range");
-        let got: Vec<(usize, String)> =
-            table.iter().map(|(id, n)| (id, format!("{n:?}"))).collect();
-        let want: Vec<(usize, String)> =
-            map.iter().map(|(&id, n)| (id, format!("{n:?}"))).collect();
-        assert_eq!(got, want, "same entries in the same order");
-        assert!(table.ids().eq(map.keys().copied()));
+    }
+
+    #[test]
+    fn connect_ignores_a_peer_id_that_does_not_fit_u32() {
+        let mut c = PeerCore::leecher(2, 0, 50.0, 1000.0, params(4), rng(2));
+        c.online = true;
+        let mut out = Vec::new();
+        let big = u64::from(u32::MAX) + 1;
+        for peers in [vec![big, u64::MAX, 3], vec![big + 3]] {
+            c.handle(
+                TRACKER,
+                &Message::AnnounceResponse {
+                    peers: peers.clone(),
+                },
+                0,
+                &mut out,
+            );
+            c.handle(7, &Message::PexPeers { peers }, 0, &mut out);
+        }
+        assert_eq!(c.neighbors.ids().collect::<Vec<_>>(), vec![3]);
+        assert!(
+            out.iter().all(|&(to, _)| to == 3),
+            "frames only to 3: {out:?}"
+        );
+        // A handshake from a host-assigned id beyond `u32` is refused.
+        out.clear();
+        let far = usize::try_from(big).expect("64-bit usize");
+        c.handle(
+            far,
+            &Message::Handshake {
+                peer: big,
+                pieces: 4,
+            },
+            0,
+            &mut out,
+        );
+        assert!(out.is_empty());
+        assert_eq!(c.neighbor_count(), 1);
     }
 
     #[test]

@@ -24,8 +24,8 @@ use swarm_bt::{Bitfield, BtConfig, BtPublisher};
 
 use crate::peer::{PeerCore, PeerParams, PUBLISHER, TRACKER};
 use crate::tracker::TrackerCore;
-use crate::transport::LoopbackHub;
-use crate::wire;
+use crate::transport::{records, LoopbackHub};
+use crate::wire::Message;
 
 /// Process-wide run ordinal for `net.run.*` events (mirrors the sim's
 /// run counter so traces from repeated runs stay distinguishable).
@@ -227,29 +227,29 @@ impl Endpoint {
     }
 }
 
-/// Drain, decode, step, encode, send — one endpoint's whole round.
-fn step_endpoint(ep: &mut Endpoint, id: usize, tick: u64, hub: &mut LoopbackHub) {
+/// Drain, decode, step, encode, send — one endpoint's whole round. The
+/// inbox is decoded one message at a time as the endpoint consumes it,
+/// and freed before the replies are sent. `out` is empty between calls;
+/// one buffer serves every endpoint.
+fn step_endpoint(
+    ep: &mut Endpoint,
+    id: usize,
+    tick: u64,
+    hub: &mut LoopbackHub,
+    out: &mut Vec<(usize, Message)>,
+) {
     let inbox = hub.take_inbox(id);
-    let mut msgs = Vec::with_capacity(inbox.len());
-    for env in inbox {
-        match wire::decode(&env.frame) {
-            Ok((msg, _)) => msgs.push((env.from, msg)),
-            // In-process frames are always well-formed; a decode error
-            // here is a codec bug, so surface it loudly in debug builds.
-            Err(e) => debug_assert!(false, "loopback frame failed to decode: {e}"),
-        }
-    }
-    let mut out = Vec::new();
     match ep {
         Endpoint::Tracker { core, rng } => {
-            for (from, msg) in &msgs {
-                core.handle(*from, msg, &mut **rng, &mut out);
+            for (from, msg) in records(&inbox) {
+                core.handle(from, &msg, &mut **rng, out);
             }
         }
-        Endpoint::Peer(core) => core.step(tick, msgs, &mut out),
+        Endpoint::Peer(core) => core.step(tick, records(&inbox), out),
     }
-    for (to, msg) in out {
-        hub.send(id, to, wire::encode(&msg));
+    drop(inbox);
+    for (to, msg) in out.drain(..) {
+        hub.send(id, to, &msg);
     }
 }
 
@@ -336,6 +336,7 @@ pub fn run_live(cfg: &BtConfig, _mode: HostMode) -> NetResult {
     }
 
     let mut agg = Aggregator::new(cfg, run_ord);
+    let mut out = Vec::new();
     for tick in 0..cfg.horizon {
         let t0 = std::time::Instant::now();
         let Endpoint::Peer(publisher) = &mut endpoints[PUBLISHER] else {
@@ -343,7 +344,7 @@ pub fn run_live(cfg: &BtConfig, _mode: HostMode) -> NetResult {
         };
         publisher.set_online(publisher_online_at(&cfg.publisher, tick));
         for (id, ep) in endpoints.iter_mut().enumerate() {
-            step_endpoint(ep, id, tick, &mut hub);
+            step_endpoint(ep, id, tick, &mut hub, &mut out);
         }
         hub.deliver_round();
         agg.observe(tick, &endpoints);

@@ -229,16 +229,24 @@ fn get_peer_list(r: &mut Reader<'_>) -> Result<Vec<u64>, WireError> {
 /// Encode one message as a complete frame (length prefix included).
 pub fn encode(msg: &Message) -> Vec<u8> {
     let mut out = Vec::with_capacity(16);
+    encode_into(&mut out, msg);
+    out
+}
+
+/// Append one message to `out` as a complete frame (length prefix
+/// included), after whatever `out` already holds.
+pub fn encode_into(out: &mut Vec<u8>, msg: &Message) {
+    let start = out.len();
     out.extend_from_slice(&[0, 0, 0, 0]); // length backpatched below
     match msg {
         Message::Handshake { peer, pieces } => {
             out.push(TAG_HANDSHAKE);
-            put_u64(&mut out, *peer);
-            put_u32(&mut out, *pieces);
+            put_u64(out, *peer);
+            put_u32(out, *pieces);
         }
         Message::Bitfield(bf) => {
             out.push(TAG_BITFIELD);
-            put_u32(&mut out, bf.len() as u32);
+            put_u32(out, bf.len() as u32);
             // Bit-packed MSB-first, mainline style; pad bits are zero.
             let mut byte = 0u8;
             for p in 0..bf.len() {
@@ -256,7 +264,7 @@ pub fn encode(msg: &Message) -> Vec<u8> {
         }
         Message::Have { piece } => {
             out.push(TAG_HAVE);
-            put_u32(&mut out, *piece);
+            put_u32(out, *piece);
         }
         Message::Interested => out.push(TAG_INTERESTED),
         Message::NotInterested => out.push(TAG_NOT_INTERESTED),
@@ -264,42 +272,41 @@ pub fn encode(msg: &Message) -> Vec<u8> {
         Message::Unchoke => out.push(TAG_UNCHOKE),
         Message::Request { piece } => {
             out.push(TAG_REQUEST);
-            put_u32(&mut out, *piece);
+            put_u32(out, *piece);
         }
         Message::Piece { piece, bytes } => {
             out.push(TAG_PIECE);
-            put_u32(&mut out, *piece);
-            put_f64(&mut out, *bytes);
+            put_u32(out, *piece);
+            put_f64(out, *bytes);
         }
         Message::Cancel { piece } => {
             out.push(TAG_CANCEL);
-            put_u32(&mut out, *piece);
+            put_u32(out, *piece);
         }
         Message::Announce { peer, left, event } => {
             out.push(TAG_ANNOUNCE);
-            put_u64(&mut out, *peer);
-            put_f64(&mut out, *left);
+            put_u64(out, *peer);
+            put_f64(out, *left);
             out.push(*event);
         }
         Message::AnnounceResponse { peers } => {
             out.push(TAG_ANNOUNCE_RESPONSE);
-            put_peer_list(&mut out, peers);
+            put_peer_list(out, peers);
         }
         Message::Scrape => out.push(TAG_SCRAPE),
         Message::ScrapeResponse { seeders, leechers } => {
             out.push(TAG_SCRAPE_RESPONSE);
-            put_u32(&mut out, *seeders);
-            put_u32(&mut out, *leechers);
+            put_u32(out, *seeders);
+            put_u32(out, *leechers);
         }
         Message::PexRequest => out.push(TAG_PEX_REQUEST),
         Message::PexPeers { peers } => {
             out.push(TAG_PEX_PEERS);
-            put_peer_list(&mut out, peers);
+            put_peer_list(out, peers);
         }
     }
-    let len = (out.len() - 4) as u32;
-    out[..4].copy_from_slice(&len.to_be_bytes());
-    out
+    let len = (out.len() - start - 4) as u32;
+    out[start..start + 4].copy_from_slice(&len.to_be_bytes());
 }
 
 /// Decode one frame from the front of `buf`.
@@ -465,6 +472,23 @@ mod tests {
         ] {
             roundtrip(&msg);
         }
+    }
+
+    #[test]
+    fn encode_into_appends_the_frame_encode_returns() {
+        let msgs = [
+            Message::Have { piece: 5 },
+            Message::PexPeers { peers: vec![2, 9] },
+            Message::Choke,
+        ];
+        let mut buf = vec![0xAB];
+        for msg in &msgs {
+            encode_into(&mut buf, msg);
+        }
+        let want: Vec<u8> = std::iter::once(0xAB)
+            .chain(msgs.iter().flat_map(encode))
+            .collect();
+        assert_eq!(buf, want);
     }
 
     #[test]

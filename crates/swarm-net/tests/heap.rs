@@ -2,7 +2,8 @@
 //!
 //! The loopback engine's heap must follow the live swarm, not every
 //! peer that ever arrived: a departed peer frees its neighbor table and
-//! per-piece progress, and a hub lane holds one round's frames at most.
+//! per-piece progress, a neighbor table holds exactly its 72-byte
+//! records, and a hub lane holds one round's encoded frames at most.
 //! The allocator counter is process-wide, so this file holds exactly one
 //! test and nothing else allocates while it measures. Telemetry stays
 //! off: its registries would be counted too.
@@ -140,16 +141,30 @@ fn heap_follows_the_live_swarm_not_every_arrival() {
          ({heap_few} B at {few} leechers, {heap_many} B at {many})"
     );
 
+    // A 48-leecher loopback shape peaks mid-run, with about 34 peers
+    // online and each table near 33 neighbors. It read 336,936-439,552 B
+    // at these seeds while a table entry took 120 B plus the `Vec`'s
+    // growth slack and each frame in flight had its own buffer.
+    for seed in [1, 2, 3] {
+        let (result, heap) = call_heap(&loopback_shaped(seed, 48, 1_800));
+        assert!(result.completions > 0, "seed {seed}: leechers complete");
+        assert!(
+            heap < 256 << 10,
+            "seed {seed}: a 48-leecher call peaks at {heap} B, over 256 KiB"
+        );
+    }
+
     // The 96-leecher loopback shape peaks near its end, with most of its
     // leechers departed. It read 1.47-1.49 MB at these seeds while
     // departed peers kept their tables and hub lanes kept the capacity
-    // of their busiest round.
+    // of their busiest round, and 663,720-816,696 B before the compact
+    // tables and byte lanes.
     for seed in [4, 5, 6] {
         let (result, heap) = call_heap(&loopback_shaped(seed, 96, 2_400));
         assert!(result.completions > 0, "seed {seed}: leechers complete");
         assert!(
-            heap < 1 << 20,
-            "seed {seed}: a 96-leecher call peaks at {heap} B, over 1 MiB"
+            heap < 600 << 10,
+            "seed {seed}: a 96-leecher call peaks at {heap} B, over 600 KiB"
         );
     }
 }
