@@ -331,13 +331,13 @@ impl ReplicationIndex {
 
     /// A peer went offline: release every piece it held, word at a time.
     ///
-    /// Equivalent to one [`Self::lose`] per set bit, but batched: the
-    /// per-piece count/histogram/coverage updates inline into the word
-    /// walk (zero words cost one compare), and the cached minimum is
-    /// re-anchored once at the end instead of once per bit. The final
-    /// state is identical — `lose`'s min-tracking only ever lowers
-    /// `min_count` to the smallest post-decrement count, which is exactly
-    /// the fold below.
+    /// Equivalent to one `lose` (the test-only reference) per set bit,
+    /// but batched: the per-piece count/histogram/coverage updates
+    /// inline into the word walk (zero words cost one compare), and the
+    /// cached minimum is re-anchored once at the end instead of once per
+    /// bit. The final state is identical — `lose`'s min-tracking only
+    /// ever lowers `min_count` to the smallest post-decrement count,
+    /// which is exactly the fold below.
     fn drop_holder(&mut self, held: &[u64]) {
         let mut min_touched = u32::MAX;
         for (wi, &word) in held.iter().enumerate() {
@@ -404,9 +404,11 @@ struct Peers {
     /// are the only writes, so seed checks never popcount.
     num_held: Vec<usize>,
     arrived: Vec<u64>,
-    completed: Vec<Option<u64>>,
-    departed: Vec<Option<u64>>,
-    linger_until: Vec<Option<u64>>,
+    /// Completion, departure and linger-expiry ticks, [`NEVER`] until
+    /// set: 8 bytes a peer each, where `Option<u64>` took 16.
+    completed: Vec<u64>,
+    departed: Vec<u64>,
+    linger_until: Vec<u64>,
     counted: Vec<bool>,
     /// Per-peer `(tick, bytes received that tick)` for the download
     /// cap. Reset is lazy: a stale stamp means "nothing received this
@@ -452,6 +454,14 @@ fn give_back<T>(list: &mut Vec<T>) {
 
 /// Sentinel for [`Conn::slot`]: no active request on this connection.
 const NO_SLOT: u32 = u32::MAX;
+
+/// "Never" in a per-peer tick field: no run reaches tick `u64::MAX`.
+const NEVER: u64 = u64::MAX;
+
+/// A per-peer tick field as the `Option` that results carry.
+fn tick_or_never(tick: u64) -> Option<u64> {
+    (tick != NEVER).then_some(tick)
+}
 
 /// State of one `uploader → downloader` connection, stored per
 /// downloader. The request fields mirror the old `assigned` entries
@@ -502,7 +512,7 @@ impl Peers {
         online: bool,
         upload: f64,
         arrived: u64,
-        completed: Option<u64>,
+        completed: u64,
         counted: bool,
         num_held: usize,
     ) -> usize {
@@ -511,8 +521,8 @@ impl Peers {
         self.num_held.push(num_held);
         self.arrived.push(arrived);
         self.completed.push(completed);
-        self.departed.push(None);
-        self.linger_until.push(None);
+        self.departed.push(NEVER);
+        self.linger_until.push(NEVER);
         self.counted.push(counted);
         self.recv.push((u64::MAX, 0.0));
         self.neighbors.push(Vec::new());
@@ -665,7 +675,7 @@ impl<'c> BtEngine<'c> {
             initially_on,
             cfg.publisher_capacity,
             0,
-            Some(0),
+            0,
             false,
             num_pieces,
         );
@@ -1065,11 +1075,10 @@ impl<'c> BtEngine<'c> {
         if let Some(t) = self.next_toggle {
             wake = wake.min(t.ceil() as u64);
         }
-        // A lingering seed departs when its linger runs out.
+        // A lingering seed departs when its linger runs out (`NEVER`,
+        // the largest tick, leaves the wake as it is).
         for &i in &self.online_ids {
-            if let Some(until) = self.peers.linger_until[i] {
-                wake = wake.min(until);
-            }
+            wake = wake.min(self.peers.linger_until[i]);
         }
         if !self.quiet.rechoke {
             wake = wake.min(next_multiple(from, self.cfg.rechoke_interval));
@@ -1224,7 +1233,7 @@ impl<'c> BtEngine<'c> {
         if counted {
             self.result.arrivals += 1;
         }
-        let id = self.peers.push(true, upload, tick, None, counted, 0);
+        let id = self.peers.push(true, upload, tick, NEVER, counted, 0);
         // Neighbor lists, connection rows and transfer plans store ids as
         // `u32`; this is the one place ids are made.
         assert!(
@@ -1374,7 +1383,7 @@ impl<'c> BtEngine<'c> {
     fn retire_publisher(&mut self, tick: u64) {
         self.publisher_retired = true;
         self.go_offline(PUBLISHER);
-        self.peers.departed[PUBLISHER] = Some(tick);
+        self.peers.departed[PUBLISHER] = tick;
         if let Some(since) = self.publisher_online_since.take() {
             self.result.publisher_intervals.push((since, tick));
         }
@@ -1787,7 +1796,7 @@ impl<'c> BtEngine<'c> {
 
     fn complete(&mut self, d: usize, tick: u64) {
         let done_at = tick + 1; // completion lands at the end of this tick
-        self.peers.completed[d] = Some(done_at);
+        self.peers.completed[d] = done_at;
         self.completions_total += 1;
         if let Some(p) = &self.probes {
             p.completions.inc();
@@ -1812,7 +1821,7 @@ impl<'c> BtEngine<'c> {
         match self.cfg.linger_mean {
             Some(mean) => {
                 let linger = exp_sample(&mut self.rng, mean).ceil() as u64;
-                self.peers.linger_until[d] = Some(done_at + linger.max(1));
+                self.peers.linger_until[d] = done_at + linger.max(1);
                 self.lingering_online += 1;
             }
             None => self.depart(d, done_at),
@@ -1827,7 +1836,7 @@ impl<'c> BtEngine<'c> {
     /// (DESIGN.md, "Departed peers never return").
     fn depart(&mut self, i: usize, tick: u64) {
         self.go_offline(i);
-        self.peers.departed[i] = Some(tick);
+        self.peers.departed[i] = tick;
         self.rep.drop_holder(self.bits.row(i));
         self.online_nonpub -= 1;
         self.peers.neighbors[i] = Vec::new();
@@ -1850,7 +1859,7 @@ impl<'c> BtEngine<'c> {
             if i == PUBLISHER || !self.peers.online[i] {
                 continue;
             }
-            if self.peers.linger_until[i].is_some_and(|until| until <= tick) {
+            if self.peers.linger_until[i] <= tick {
                 self.depart(i, tick);
                 self.lingering_online -= 1;
             }
@@ -1959,7 +1968,7 @@ impl<'c> BtEngine<'c> {
             );
         }
         // Departed leechers keep no neighbor or connection storage.
-        for i in (1..self.peers.len()).filter(|&i| self.peers.departed[i].is_some()) {
+        for i in (1..self.peers.len()).filter(|&i| self.peers.departed[i] != NEVER) {
             assert_eq!(
                 self.peers.neighbors[i].capacity(),
                 0,
@@ -1988,8 +1997,8 @@ impl<'c> BtEngine<'c> {
             self.result.spans = (1..self.peers.len())
                 .map(|i| PeerSpan {
                     arrived: self.peers.arrived[i],
-                    departed: self.peers.departed[i],
-                    completed: self.peers.completed[i],
+                    departed: tick_or_never(self.peers.departed[i]),
+                    completed: tick_or_never(self.peers.completed[i]),
                     final_fraction: self.peers.num_held[i] as f64 / self.num_pieces as f64,
                 })
                 .collect();
