@@ -165,7 +165,8 @@ fn kb_to_bytes(kb: f64) -> u64 {
 const NO_PIECE: u32 = u32::MAX;
 
 /// What we know about one neighbor: one record of a peer's
-/// [`NeighborTable`]. A peer keeps it until the peer itself departs.
+/// [`NeighborTable`]. A peer keeps it until the neighbor sends `Close`
+/// or the peer itself departs.
 #[derive(Debug, Clone)]
 struct Neighbor {
     bitfield: Bitfield,
@@ -243,7 +244,8 @@ struct NeighborObs {
 /// endpoint id: lookups binary-search, inserts keep the order, and
 /// iteration is ascending by id, so RNG draws and frames follow a fixed
 /// order. The table holds exactly its entries: an insert reserves room
-/// for one more and a removal gives the freed slot back. `obs` is the
+/// for one more, and a removal (a neighbor's `Close`) gives the freed
+/// slot back. `obs` is the
 /// telemetry side table, index for index with `entries` while the
 /// core's probes are on and empty while they are off.
 #[derive(Debug, Default)]
@@ -286,6 +288,19 @@ impl NeighborTable {
     fn get_mut_with_obs(&mut self, id: usize) -> Option<(&mut Neighbor, Option<&mut NeighborObs>)> {
         let i = self.position(id).ok()?;
         Some((&mut self.entries[i], self.obs.get_mut(i)))
+    }
+
+    /// Drop neighbor `id`, if present, and give its slot back.
+    fn remove(&mut self, id: usize) {
+        let Ok(at) = self.position(id) else {
+            return;
+        };
+        self.entries.remove(at);
+        self.entries.shrink_to_fit();
+        if !self.obs.is_empty() {
+            self.obs.remove(at);
+            self.obs.shrink_to_fit();
+        }
     }
 
     /// Add a neighbor not yet in the table at its place in id order,
@@ -432,8 +447,9 @@ impl PeerCore {
     /// the next rechoke re-emits `Unchoke` deltas — neighbors that
     /// snubbed us while we were gone need fresh frames to revive.
     /// Going offline keeps the neighbor table (the sim's publisher also
-    /// resumes with its view intact); the host stops delivering frames
-    /// while offline.
+    /// resumes with its view intact). While offline, `step` applies only
+    /// the `Close` frames of neighbors that left meanwhile and drops the
+    /// rest.
     pub fn set_online(&mut self, on: bool) {
         if on && !self.online && !self.departed {
             self.online = true;
@@ -520,6 +536,18 @@ impl PeerCore {
             self.needs_announce = true;
         }
         if !self.online {
+            // A peer that will come back (the publisher between
+            // on-phases) still lets go of the neighbors that left
+            // meanwhile; the rest of the inbox is for a peer that is not
+            // there, and a departed peer skips it whole.
+            if !self.departed {
+                for (from, msg) in inbox {
+                    if msg == Message::Close {
+                        self.messages_handled += 1;
+                        self.handle(from, &msg, tick, out);
+                    }
+                }
+            }
             return;
         }
         for (from, msg) in inbox {
@@ -836,10 +864,16 @@ impl PeerCore {
                     n.their_request = NO_PIECE;
                 }
             }
-            Message::Choke => {
+            Message::Choke | Message::Close => {
+                let close = *msg == Message::Close;
                 if let Some(n) = self.neighbors.get_mut(from) {
                     if let Some(pr) = probes {
-                        let mut ev = pr.conn(tick, my_id, from, ConnPhase::Choke);
+                        let phase = if close {
+                            ConnPhase::Close
+                        } else {
+                            ConnPhase::Choke
+                        };
+                        let mut ev = pr.conn(tick, my_id, from, phase);
                         ev.dir = Some(Dir::Rx);
                         ev.emit();
                         if n.our_request != NO_PIECE {
@@ -853,6 +887,11 @@ impl PeerCore {
                     }
                     n.they_choke_us = true;
                     n.our_request = NO_PIECE;
+                }
+                if close {
+                    // The neighbor is gone for good: its slot goes back
+                    // for the next handshake.
+                    self.neighbors.remove(from);
                 }
             }
             Message::Unchoke => {
@@ -1065,10 +1104,11 @@ impl PeerCore {
     }
 
     /// Completion in a linger-free swarm: tell the tracker, leave —
-    /// and choke every neighbor on the way out. The parting `Choke` is
-    /// the protocol-level connection close: it instantly clears any
-    /// request a neighbor had pointed at us, so nobody waits out a
-    /// request timeout on a peer that no longer exists.
+    /// and send every neighbor a `Close` on the way out. A `Close` clears
+    /// the receiver's request state as a `Choke` would, so nobody waits
+    /// out a request timeout on a peer that no longer exists, and then
+    /// frees the receiver's table slot, so a departed peer neither takes
+    /// room a live one could use nor keeps drawing frames.
     ///
     /// A departed peer keeps only what the host and the aggregator read:
     /// its flags, arrival and completion ticks, counters and bitfield.
@@ -1083,7 +1123,7 @@ impl PeerCore {
                 ev.dir = Some(Dir::Tx);
                 ev.emit();
             }
-            out.push((id, Message::Choke));
+            out.push((id, Message::Close));
         }
         out.push((
             TRACKER,
@@ -1165,6 +1205,9 @@ mod tests {
                         }
                         slot.insert((n, observed.then_some(o)));
                     }
+                } else if r.gen_bool(0.2) {
+                    table.remove(key);
+                    map.remove(&key);
                 } else {
                     assert_eq!(table.contains(key), map.contains_key(&key), "id {id}");
                     let got = table.get_with_obs(key).map(|e| format!("{e:?}"));
@@ -1376,6 +1419,81 @@ mod tests {
         assert!(out
             .iter()
             .any(|(to, m)| *to == 3 && matches!(m, Message::Have { piece: 0 })));
+        assert!(out.contains(&(3, Message::Close)), "the neighbor is told");
+        assert!(!out.contains(&(3, Message::Choke)));
+    }
+
+    fn handshake(id: usize, pieces: u32) -> (usize, Message) {
+        (
+            id,
+            Message::Handshake {
+                peer: id as u64,
+                pieces,
+            },
+        )
+    }
+
+    #[test]
+    fn a_close_frees_the_slot_and_the_request_on_it() {
+        let one_slot = PeerParams {
+            max_neighbors: 1,
+            ..params(1)
+        };
+        let mut c = PeerCore::leecher(2, 0, 50.0, 1000.0, one_slot, rng(2));
+        c.online = true;
+        let full = || Message::Bitfield(Bitfield::full(1));
+        let out = step1(
+            &mut c,
+            0,
+            vec![
+                handshake(3, 1),
+                (3, full()),
+                (3, Message::Unchoke),
+                handshake(4, 1),
+            ],
+        );
+        assert!(out.contains(&(3, Message::Request { piece: 0 })));
+        assert!(out.iter().all(|(to, _)| *to != 4), "full table: 4 refused");
+        // 3 leaves: its slot goes back, and so does the request on it, so
+        // 4 gets in and the piece is asked of 4 at once.
+        let out = step1(
+            &mut c,
+            1,
+            vec![
+                (3, Message::Close),
+                handshake(4, 1),
+                (4, full()),
+                (4, Message::Unchoke),
+            ],
+        );
+        assert_eq!(c.neighbors.ids().collect::<Vec<_>>(), vec![4]);
+        assert_eq!(c.neighbors.capacity(), 1, "the slot was given back");
+        assert!(out.contains(&(4, Message::Request { piece: 0 })));
+        assert!(out.iter().all(|(to, _)| *to != 3), "nothing more for 3");
+    }
+
+    #[test]
+    fn an_offline_peer_applies_closes_and_drops_the_rest() {
+        let mut p = PeerCore::publisher(1, 200.0, params(2), rng(1));
+        p.set_online(true);
+        step1(&mut p, 0, vec![handshake(2, 2), handshake(3, 2)]);
+        assert_eq!(p.neighbor_count(), 2);
+        // Between on-phases: 2 leaves, and 3 asks for data.
+        p.set_online(false);
+        let out = step1(
+            &mut p,
+            1,
+            vec![
+                (2, Message::Close),
+                (3, Message::Interested),
+                (3, Message::Request { piece: 0 }),
+            ],
+        );
+        assert!(out.is_empty(), "an offline peer sends nothing");
+        assert_eq!(p.neighbors.ids().collect::<Vec<_>>(), vec![3]);
+        assert_eq!(p.neighbors.capacity(), 1, "the slot was given back");
+        assert!(!p.neighbors.get(3).unwrap().they_interested, "dropped");
+        assert_eq!(p.messages_handled, 3, "two handshakes and the close");
     }
 
     #[test]

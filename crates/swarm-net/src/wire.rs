@@ -85,6 +85,9 @@ pub enum Message {
     PexPeers {
         peers: Vec<u64>,
     },
+    /// The sender is leaving for good: the receiver drops the
+    /// connection (a TCP FIN, in socket terms).
+    Close,
 }
 
 const TAG_HANDSHAKE: u8 = 0;
@@ -103,6 +106,7 @@ const TAG_SCRAPE: u8 = 12;
 const TAG_SCRAPE_RESPONSE: u8 = 13;
 const TAG_PEX_REQUEST: u8 = 14;
 const TAG_PEX_PEERS: u8 = 15;
+const TAG_CLOSE: u8 = 16;
 
 /// Typed decode failure. Every variant is a clean error return — the
 /// decoder never panics on hostile input.
@@ -304,6 +308,7 @@ pub fn encode_into(out: &mut Vec<u8>, msg: &Message) {
             out.push(TAG_PEX_PEERS);
             put_peer_list(out, peers);
         }
+        Message::Close => out.push(TAG_CLOSE),
     }
     let len = (out.len() - start - 4) as u32;
     out[start..start + 4].copy_from_slice(&len.to_be_bytes());
@@ -339,6 +344,11 @@ pub fn decode(buf: &[u8]) -> Result<(Message, usize), WireError> {
         },
         TAG_BITFIELD => {
             let n = r.u32()? as usize;
+            // A torrent has at least one piece, and a `Bitfield` of none
+            // cannot be built.
+            if n == 0 {
+                return Err(WireError::BadPayload("empty bitfield"));
+            }
             let nbytes = n.div_ceil(8);
             let bits = r.take(nbytes)?;
             let mut bf = Bitfield::new(n);
@@ -391,6 +401,7 @@ pub fn decode(buf: &[u8]) -> Result<(Message, usize), WireError> {
         TAG_PEX_PEERS => Message::PexPeers {
             peers: get_peer_list(&mut r)?,
         },
+        TAG_CLOSE => Message::Close,
         t => return Err(WireError::UnknownTag(t)),
     };
     r.finish()?;
@@ -469,6 +480,7 @@ mod tests {
             },
             Message::PexRequest,
             Message::PexPeers { peers: vec![] },
+            Message::Close,
         ] {
             roundtrip(&msg);
         }
@@ -545,6 +557,15 @@ mod tests {
             decode(&buf).unwrap_err(),
             WireError::BadPayload(_)
         ));
+    }
+
+    #[test]
+    fn empty_bitfield_is_rejected() {
+        let frame = [0, 0, 0, 5, TAG_BITFIELD, 0, 0, 0, 0];
+        assert_eq!(
+            decode(&frame).unwrap_err(),
+            WireError::BadPayload("empty bitfield")
+        );
     }
 
     #[test]

@@ -8,16 +8,18 @@
 //! windows are pinned too. A change meant to keep outputs byte-identical
 //! must leave every digest as it is.
 //!
-//! The 96-leecher scripts complete 55 or 56 of 96 leechers, not all of
-//! them: departed peers keep their neighbor-table slots, and full tables
-//! refuse later handshakes. The digests pin that as it is.
+//! Every script completes all of its leechers, as the simulator does:
+//! 48 of 48 and 96 of 96. (While departed peers kept their
+//! neighbor-table slots, full tables refused later handshakes and the
+//! 96-leecher scripts completed 55 or 56 of 96.)
 //!
 //! One `#[test]`: it toggles the process-global telemetry switch.
 
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
-use swarm_bt::{BtConfig, BtPublisher, CapacityDistribution};
+use swarm_bt::BtConfig;
 use swarm_net::{run_live, scenarios, HostMode, NetResult};
+
+mod common;
+use common::loopback_shaped;
 
 /// 64-bit FNV-1a of `r` serialized as JSON.
 fn digest(r: &NetResult) -> u64 {
@@ -25,30 +27,6 @@ fn digest(r: &NetResult) -> u64 {
     json.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
         (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
     })
-}
-
-/// A scripted swarm shaped like a `net-loopback` input: `leechers`
-/// arrivals at seeded ticks in the first half of the horizon, seeded
-/// upload capacities in [30, 70) kB/tick.
-fn loopback_shaped(seed: u64, leechers: usize, horizon: u64) -> BtConfig {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut arrivals: Vec<(u64, f64)> = (0..leechers)
-        .map(|_| (rng.gen_range(0..horizon / 2), rng.gen_range(30.0..70.0)))
-        .collect();
-    arrivals.sort_by_key(|&(tick, _)| tick);
-    BtConfig {
-        publisher: BtPublisher::Periodic {
-            on_ticks: 300,
-            off_ticks: 120,
-            initially_on: true,
-        },
-        peer_capacity: CapacityDistribution::Uniform(50.0),
-        horizon,
-        drain_ticks: 0,
-        linger_mean: None,
-        scripted_arrivals: Some(arrivals),
-        ..BtConfig::paper_section_4_3(4, seed)
-    }
 }
 
 /// The fixed mix, labelled.
@@ -82,12 +60,12 @@ const PINNED: [(&str, u64, u64); 12] = [
     ("scenario-b seed 7", 0x4b21864c7612cb69, 0x856252f87d26710e),
     ("scenario-a seed 42", 0xd33c6ec06d6abef3, 0xf0351dbdbf58777d),
     ("scenario-b seed 42", 0xc80b088a783c970f, 0xb9bd36163dba0b5b),
-    ("48 leechers seed 1", 0x3e280a26dbcfc451, 0x99ebe25aca47460c),
-    ("48 leechers seed 2", 0x187ed6b4964098ed, 0xd5bede0ad980937f),
-    ("48 leechers seed 3", 0xae54b8aac92d753a, 0x073df7c74cadedee),
-    ("96 leechers seed 4", 0x0d13d6141bde70fd, 0x9f75ae8b4b59cc95),
-    ("96 leechers seed 5", 0xdba79bd476951269, 0xb84b5cb28c304357),
-    ("96 leechers seed 6", 0x623a6ae7865ea9d0, 0xb0586ad2c828f688),
+    ("48 leechers seed 1", 0xb84a0b9693ec0827, 0xd09ce9d8d55c5362),
+    ("48 leechers seed 2", 0x1865d1fd35662413, 0xb774d38c03b5a815),
+    ("48 leechers seed 3", 0xbfcdd176eb9faaaf, 0x7a404d32e709135c),
+    ("96 leechers seed 4", 0x5daae6149f5037d6, 0x987f837425f20058),
+    ("96 leechers seed 5", 0x783e3d7aa3741311, 0x31d653cd40eaa0ec),
+    ("96 leechers seed 6", 0xcfc1e15ddccf21c7, 0x460836ecc86184aa),
 ];
 
 #[test]

@@ -11,10 +11,11 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
-use swarm_bt::{BtConfig, BtPublisher, CapacityDistribution};
+use swarm_bt::{BtConfig, BtPublisher};
 use swarm_net::{run_live, HostMode, NetResult};
+
+mod common;
+use common::loopback_shaped;
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
@@ -87,31 +88,6 @@ fn sequential(n: u64) -> BtConfig {
         linger_mean: None,
         scripted_arrivals: Some((0..n).map(|i| (i * 400, 50.0)).collect()),
         ..BtConfig::paper_section_4_3(4, 1)
-    }
-}
-
-/// A script shaped like a swarmbench `net-loopback` input, as
-/// `golden_digest.rs` builds it: `leechers` arrivals at seeded ticks in
-/// the first half of the horizon, seeded upload capacities in [30, 70)
-/// kB/tick, K=4 behind a 300/120 square-wave publisher.
-fn loopback_shaped(seed: u64, leechers: usize, horizon: u64) -> BtConfig {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut arrivals: Vec<(u64, f64)> = (0..leechers)
-        .map(|_| (rng.gen_range(0..horizon / 2), rng.gen_range(30.0..70.0)))
-        .collect();
-    arrivals.sort_by_key(|&(tick, _)| tick);
-    BtConfig {
-        publisher: BtPublisher::Periodic {
-            on_ticks: 300,
-            off_ticks: 120,
-            initially_on: true,
-        },
-        peer_capacity: CapacityDistribution::Uniform(50.0),
-        horizon,
-        drain_ticks: 0,
-        linger_mean: None,
-        scripted_arrivals: Some(arrivals),
-        ..BtConfig::paper_section_4_3(4, seed)
     }
 }
 

@@ -6,10 +6,16 @@
 //!    in the `swarm-bt` simulator and the live networked engine.
 //! 2. **Reproducibility** — repeated live runs of one config are
 //!    bit-identical: the result is a pure function of the config.
+//! 3. **Departed peers leave** — on swarmbench's loopback shapes, where
+//!    full neighbor tables would lock out later peers if departed ones
+//!    kept their slots, live completions equal the simulator's.
 
 use swarm_bt::run as run_sim;
 use swarm_net::scenarios;
 use swarm_net::{run_live, HostMode};
+
+mod common;
+use common::loopback_shaped;
 
 /// Availability transitions of a sim run, recovered from the scenario's
 /// schedule-driven design: with every completion inside the first
@@ -131,4 +137,22 @@ fn repeated_runs_are_bit_identical() {
     assert_eq!(a.completion_curve, b.completion_curve);
     assert_eq!(a.bytes_moved.to_bits(), b.bytes_moved.to_bits());
     assert_eq!(a.messages, b.messages);
+}
+
+#[test]
+fn loopback_shaped_scripts_complete_as_many_leechers_as_the_simulator() {
+    // A departing peer closes its connections, so the slots it held go
+    // back to live peers (the returning publisher among them). While
+    // they did not, the 96-leecher scripts completed 55-57 of 96.
+    for seed in 1..=6 {
+        for (leechers, horizon) in [(48, 1_800), (96, 2_400)] {
+            let cfg = loopback_shaped(seed, leechers, horizon);
+            let sim = run_sim(&cfg);
+            let live = run_live(&cfg, HostMode::SingleThread);
+            assert_eq!(
+                live.completions, sim.completions,
+                "{leechers} leechers, seed {seed}: live vs sim completions"
+            );
+        }
+    }
 }

@@ -9,8 +9,9 @@ use swarm_net::wire::{decode, encode, Message, WireError, MAX_FRAME};
 /// Build one message from flat random draws: `tag` picks the variant,
 /// the remaining fields parameterize it. Every payload-carrying field is
 /// drawn from its full legitimate range (piece counts are bounded only
-/// by what a sane torrent carries; the f64s are arbitrary finite reals,
-/// checked bit-for-bit after the trip).
+/// by what a sane torrent carries, and a torrent has at least one
+/// piece; the f64s are arbitrary finite reals, checked bit-for-bit after
+/// the trip).
 #[allow(clippy::too_many_arguments)]
 fn build_message(
     tag: u8,
@@ -59,20 +60,21 @@ fn build_message(
             leechers: counts.1,
         },
         14 => Message::PexRequest,
-        _ => Message::PexPeers { peers },
+        15 => Message::PexPeers { peers },
+        _ => Message::Close,
     }
 }
 
 proptest! {
     #[test]
     fn every_message_round_trips_bit_identically(
-        tag in 0u8..16,
+        tag in 0u8..17,
         peer in 0u64..u64::MAX,
         piece in 0u32..1_000_000,
         volume in 0.0f64..1e12,
         event in 0u8..4,
         peers in prop::collection::vec(0u64..u64::MAX, 0..40),
-        bits in prop::collection::vec(prop::bool::ANY, 0..200),
+        bits in prop::collection::vec(prop::bool::ANY, 1..200),
         counts in (0u32..10_000, 0u32..10_000),
     ) {
         let msg = build_message(tag, peer, piece, volume, event, peers, bits, counts);
@@ -87,13 +89,13 @@ proptest! {
 
     #[test]
     fn truncation_never_panics_and_is_always_typed(
-        tag in 0u8..16,
+        tag in 0u8..17,
         peer in 0u64..u64::MAX,
         piece in 0u32..1_000_000,
         volume in 0.0f64..1e12,
         event in 0u8..4,
         peers in prop::collection::vec(0u64..u64::MAX, 0..40),
-        bits in prop::collection::vec(prop::bool::ANY, 0..200),
+        bits in prop::collection::vec(prop::bool::ANY, 1..200),
         counts in (0u32..10_000, 0u32..10_000),
         cut_frac in 0.0f64..1.0,
     ) {
