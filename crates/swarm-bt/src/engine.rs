@@ -405,7 +405,8 @@ struct Peers {
     num_held: Vec<usize>,
     arrived: Vec<u64>,
     /// Completion, departure and linger-expiry ticks, [`NEVER`] until
-    /// set: 8 bytes a peer each, where `Option<u64>` took 16.
+    /// set. The sentinel keeps each at 8 bytes a peer that ever arrived;
+    /// an `Option<u64>` takes 16.
     completed: Vec<u64>,
     departed: Vec<u64>,
     linger_until: Vec<u64>,

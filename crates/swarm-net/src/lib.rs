@@ -4,8 +4,8 @@
 //! exchanging encoded frames*, instead of nodes inside one simulator
 //! loop. Each participant — tracker, publisher, leechers — is a state
 //! machine speaking a length-prefixed wire format (handshake, bitfield,
-//! have, interested/choke, request/piece/cancel, tracker announce and
-//! scrape, PEX) over one of two hosts:
+//! have, interested/choke, request/piece/cancel, close, tracker announce
+//! and scrape, PEX) over one of two hosts:
 //!
 //! * **deterministic loopback** — every endpoint stepped in id order on
 //!   one thread in virtual ticks, frames delivered in (sender, send

@@ -192,9 +192,8 @@ struct Neighbor {
     they_choke_us: bool,
 }
 
-// A table entry is this record and nothing else: 72 bytes, where the
-// `(usize, Neighbor)` pair with `Option` request fields and the
-// telemetry inline took 120.
+// A table entry is this record and nothing else, one per neighbor of
+// every online peer: keep it at 72 bytes.
 const _: () = assert!(std::mem::size_of::<Neighbor>() <= 72);
 
 impl Neighbor {
@@ -245,9 +244,9 @@ struct NeighborObs {
 /// iteration is ascending by id, so RNG draws and frames follow a fixed
 /// order. The table holds exactly its entries: an insert reserves room
 /// for one more, and a removal (a neighbor's `Close`) gives the freed
-/// slot back. `obs` is the
-/// telemetry side table, index for index with `entries` while the
-/// core's probes are on and empty while they are off.
+/// slot back. `obs` is the telemetry side table, index for index with
+/// `entries` while the core's probes are on and empty while they are
+/// off.
 #[derive(Debug, Default)]
 struct NeighborTable {
     entries: Vec<Neighbor>,
@@ -542,7 +541,7 @@ impl PeerCore {
             // there, and a departed peer skips it whole.
             if !self.departed {
                 for (from, msg) in inbox {
-                    if msg == Message::Close {
+                    if matches!(msg, Message::Close) {
                         self.messages_handled += 1;
                         self.handle(from, &msg, tick, out);
                     }
@@ -865,7 +864,7 @@ impl PeerCore {
                 }
             }
             Message::Choke | Message::Close => {
-                let close = *msg == Message::Close;
+                let close = matches!(msg, Message::Close);
                 if let Some(n) = self.neighbors.get_mut(from) {
                     if let Some(pr) = probes {
                         let phase = if close {
