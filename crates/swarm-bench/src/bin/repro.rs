@@ -27,8 +27,7 @@
 //! progress logging without touching the machine-readable output.
 //!
 //! Three offline subcommands analyze what a telemetry run wrote
-//! (implemented in `swarm-trace`), and one online subcommand polls a
-//! live run:
+//! (implemented in `swarm-trace`):
 //!
 //! ```text
 //! repro trace <TELEMETRY_DIR>      # availability timelines, busy
@@ -41,8 +40,6 @@
 //! repro net-report <TELEMETRY_DIR> # wire-level connection timelines,
 //!                                  # conservation invariants, swarm
 //!                                  # health report (live engine runs)
-//! repro watch HOST:PORT            # poll a live /metrics exposition
-//!                                  # (the TCP host's side port)
 //! ```
 
 use std::path::PathBuf;
@@ -57,8 +54,7 @@ const USAGE: &str = "usage: repro <list|all|EXPERIMENT...> \
        repro trace <TELEMETRY_DIR> [--flame PATH] [--width N] [--timeseries]
        repro diff <A> <B> [--max-rel R] [--metric NAME=R] [--timeseries]
        repro diff --baseline FILE <RUN> [--write-baseline] [--timeseries]
-       repro net-report <TELEMETRY_DIR> [--swimlane PATH] [--folded PATH]
-       repro watch <HOST:PORT> [--interval-ms MS] [--iters N]";
+       repro net-report <TELEMETRY_DIR> [--swimlane PATH] [--folded PATH]";
 
 struct Args {
     ids: Vec<String>,
@@ -165,7 +161,6 @@ fn main() -> ExitCode {
         Some("net-report") => {
             return ExitCode::from(swarm_trace::cli::net_report_main(&raw[1..]) as u8)
         }
-        Some("watch") => return ExitCode::from(swarm_net::watch_main(&raw[1..]) as u8),
         _ => {}
     }
     let wants_help = raw.iter().any(|a| a == "help" || a == "--help");

@@ -5,15 +5,10 @@
 //! loop. Each participant — tracker, publisher, leechers — is a state
 //! machine speaking a length-prefixed wire format (handshake, bitfield,
 //! have, interested/choke, request/piece/cancel, close, tracker announce
-//! and scrape, PEX) over one of two hosts:
-//!
-//! * **deterministic loopback** — every endpoint stepped in id order on
-//!   one thread in virtual ticks, frames delivered in (sender, send
-//!   order) at each tick's end, per-endpoint ChaCha8 streams, so live
-//!   runs are reproducible and diffable.
-//! * **real TCP** — the same cores over `std::net` sockets and a
-//!   wall-clock ticker, one thread per endpoint, for smoke-testing the
-//!   stack end to end.
+//! and scrape, PEX) over a deterministic loopback host: every endpoint
+//! stepped in id order on one thread in virtual ticks, frames delivered
+//! in (sender, send order) at each tick's end, per-endpoint ChaCha8
+//! streams, so live runs are reproducible and diffable.
 //!
 //! Piece selection and rechoking are the *same policy functions* the
 //! `swarm-bt` simulator calls ([`swarm_bt::policy`]), which is what
@@ -25,24 +20,19 @@
 //! `bt.*` twins exactly; `swarm-trace repro diff --sim-vs-live`
 //! enforces that equivalence in CI.
 //!
-//! No async runtime is involved: the loopback host is a plain loop and
-//! the TCP host uses OS threads, in keeping with the workspace's
-//! vendored-dependency rule.
+//! No async runtime, thread or socket is involved: the host is a plain
+//! loop over one virtual clock.
 
-pub mod http;
 pub mod peer;
 pub mod pex;
 pub mod run;
 pub mod scenarios;
-pub mod tcp;
 pub mod tracker;
 pub mod transport;
 pub mod wire;
 
-pub use http::{http_get, render_exposition, serve_metrics, watch_main};
 pub use peer::{PeerCore, PeerParams, MIN_NEIGHBORS, PUBLISHER, REQUEST_TIMEOUT, TRACKER};
 pub use run::{peer_stream, publisher_online_at, run_live, HostMode, NetResult, NET_TS_WINDOW};
-pub use tcp::{run_tcp_smoke_with, TcpSmokeOpts, TcpSmokeReport};
 pub use tracker::TrackerCore;
 pub use transport::LoopbackHub;
-pub use wire::{decode, drain_frames, encode, encode_into, Message, WireError};
+pub use wire::{decode, encode, encode_into, Message, WireError};

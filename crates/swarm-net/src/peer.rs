@@ -3,9 +3,9 @@
 //! [`PeerCore`] is the live-mode counterpart of one node inside the
 //! `swarm-bt` engine: it holds a bitfield, a neighbor table, and the
 //! tit-for-tat/rarest-first policy state — but it communicates *only*
-//! through wire [`Message`]s handed in and out by a host. The same core
-//! runs under the deterministic loopback coordinator and the TCP host;
-//! nothing in here knows which transport or clock is underneath.
+//! through wire [`Message`]s handed in and out by a host. Nothing in
+//! here knows the transport or the clock underneath: the loopback
+//! coordinator hands it an inbox and a tick.
 //!
 //! Piece selection and rechoking call the pure policy functions in
 //! [`swarm_bt::policy`] — the exact code the simulator runs — so sim and
@@ -910,7 +910,8 @@ impl PeerCore {
                 }
             }
             Message::Request { piece } => {
-                if !self.bitfield.has(*piece as usize) {
+                let p = *piece as usize;
+                if p >= self.params.num_pieces || !self.bitfield.has(p) {
                     return;
                 }
                 if let Some((n, obs)) = self.neighbors.get_mut_with_obs(from) {
@@ -1493,6 +1494,19 @@ mod tests {
         assert_eq!(p.neighbors.capacity(), 1, "the slot was given back");
         assert!(!p.neighbors.get(3).unwrap().they_interested, "dropped");
         assert_eq!(p.messages_handled, 3, "two handshakes and the close");
+    }
+
+    #[test]
+    fn an_out_of_range_request_is_ignored() {
+        let mut p = PeerCore::publisher(1, 200.0, params(4), rng(1));
+        p.set_online(true);
+        step1(&mut p, 0, vec![handshake(2, 4), (2, Message::Interested)]);
+        let out = step1(&mut p, 1, vec![(2, Message::Request { piece: 99 })]);
+        assert!(
+            !out.iter().any(|(_, m)| matches!(m, Message::Piece { .. })),
+            "nothing is served: {out:?}"
+        );
+        assert_eq!(p.neighbors.get(2).unwrap().their_request, NO_PIECE);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! Pure functions over a peer's (sorted) neighbor id list, so the PEX
 //! decisions are deterministic given the peer's own RNG stream and
-//! independent of hash/thread order. Both the loopback and TCP hosts use
-//! these through [`crate::peer::PeerCore`].
+//! independent of hash order. The loopback host uses these through
+//! [`crate::peer::PeerCore`].
 
 use rand::seq::SliceRandom;
 use rand::Rng;

@@ -31,9 +31,9 @@ use crate::wire::Message;
 /// run counter so traces from repeated runs stay distinguishable).
 static NET_RUN_SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// Claim the next `net.run.*` ordinal — shared with the TCP host so
-/// loopback and socket runs in one process never collide on a run id.
-pub(crate) fn next_net_run_ordinal() -> u64 {
+/// Claim the next `net.run.*` ordinal, so that repeated runs in one
+/// process never collide on a run id.
+fn next_net_run_ordinal() -> u64 {
     NET_RUN_SEQ.fetch_add(1, Ordering::Relaxed)
 }
 

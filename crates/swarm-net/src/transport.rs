@@ -1,9 +1,9 @@
 //! The deterministic in-process message hub.
 //!
 //! Endpoints hand messages to [`LoopbackHub::send`] and drain delivered
-//! ones with [`LoopbackHub::take_inbox`] and [`records`]. The real-socket
-//! host in [`crate::tcp`] moves the identical wire frames over
-//! `std::net` sockets instead.
+//! ones with [`LoopbackHub::take_inbox`] and [`records`]. Every message
+//! crosses the hub as its encoded wire frame, so the codec is exercised
+//! on each delivery.
 //!
 //! ## Determinism of the loopback hub
 //!

@@ -317,9 +317,8 @@ pub fn encode_into(out: &mut Vec<u8>, msg: &Message) {
 /// Decode one frame from the front of `buf`.
 ///
 /// Returns the message and the total number of bytes consumed (prefix
-/// included). [`WireError::Truncated`] means "feed me more bytes" — the
-/// streaming reader loops on it; every other error is fatal for the
-/// frame.
+/// included). [`WireError::Truncated`] means `buf` holds only part of a
+/// frame; every other error is fatal for the frame.
 pub fn decode(buf: &[u8]) -> Result<(Message, usize), WireError> {
     if buf.len() < 4 {
         return Err(WireError::Truncated);
@@ -406,29 +405,6 @@ pub fn decode(buf: &[u8]) -> Result<(Message, usize), WireError> {
     };
     r.finish()?;
     Ok((msg, 4 + declared))
-}
-
-/// Streaming frame extraction for byte-stream transports (TCP): pull
-/// complete frames off the front of `buf`, leaving any partial tail in
-/// place. Stops at the first decode error other than truncation.
-pub fn drain_frames(buf: &mut Vec<u8>) -> Result<Vec<Message>, WireError> {
-    let mut out = Vec::new();
-    let mut consumed = 0usize;
-    loop {
-        match decode(&buf[consumed..]) {
-            Ok((msg, n)) => {
-                out.push(msg);
-                consumed += n;
-            }
-            Err(WireError::Truncated) => break,
-            Err(e) => {
-                buf.drain(..consumed);
-                return Err(e);
-            }
-        }
-    }
-    buf.drain(..consumed);
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -580,17 +556,5 @@ mod tests {
             decode(&frame).unwrap_err(),
             WireError::BadPayload("nonzero bitfield padding")
         );
-    }
-
-    #[test]
-    fn drain_frames_handles_partial_tail() {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&encode(&Message::Interested));
-        buf.extend_from_slice(&encode(&Message::Have { piece: 8 }));
-        let tail = encode(&Message::Unchoke);
-        buf.extend_from_slice(&tail[..3]); // partial frame stays put
-        let msgs = drain_frames(&mut buf).expect("drain");
-        assert_eq!(msgs, vec![Message::Interested, Message::Have { piece: 8 }]);
-        assert_eq!(buf, &tail[..3]);
     }
 }

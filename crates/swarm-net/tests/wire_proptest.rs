@@ -1,10 +1,17 @@
 //! Property tests for the wire codec: every message round-trips
 //! bit-identically, and corrupted frames come back as typed errors —
-//! never panics.
+//! never panics. A peer core fed hostile but well-formed frame
+//! sequences never panics either, and never outgrows its neighbor cap.
 
 use proptest::prelude::*;
 use swarm_bt::Bitfield;
 use swarm_net::wire::{decode, encode, Message, WireError, MAX_FRAME};
+use swarm_net::{peer_stream, PeerCore, PeerParams, PUBLISHER};
+
+/// Pieces of the content the hostile-sequence cores share.
+const PIECES: u32 = 4;
+/// Neighbor cap of the hostile-sequence cores: small, so tables fill.
+const MAX_NEIGHBORS: usize = 3;
 
 /// Build one message from flat random draws: `tag` picks the variant,
 /// the remaining fields parameterize it. Every payload-carrying field is
@@ -107,6 +114,70 @@ proptest! {
             decode(&frame[..cut.min(frame.len() - 1)]).unwrap_err(),
             WireError::Truncated
         );
+    }
+}
+
+/// One inbound frame from a small range of senders: pieces up to twice
+/// [`PIECES`], and half the handshakes carrying the cores' own piece
+/// count, so they are accepted and fill the neighbor tables.
+fn hostile_frame() -> impl Strategy<Value = (usize, Message)> {
+    (
+        (
+            0usize..8,
+            0u8..17,
+            0u64..8,
+            0u32..2 * PIECES,
+            prop::bool::ANY,
+        ),
+        (
+            0.0f64..300.0,
+            0u8..4,
+            prop::collection::vec(0u64..8, 0..6),
+            prop::collection::vec(prop::bool::ANY, 1..2 * PIECES as usize),
+            (0u32..10, 0u32..10),
+        ),
+    )
+        .prop_map(
+            |((from, tag, peer, piece, own_count), (volume, event, peers, bits, counts))| {
+                let piece = if tag == 0 && own_count { PIECES } else { piece };
+                let msg = build_message(tag, peer, piece, volume, event, peers, bits, counts);
+                (from, msg)
+            },
+        )
+}
+
+proptest! {
+    #[test]
+    fn hostile_sequences_never_panic_a_peer(
+        ticks in prop::collection::vec(prop::collection::vec(hostile_frame(), 0..12), 1..24),
+    ) {
+        let params = PeerParams {
+            num_pieces: PIECES as usize,
+            piece_size: 100.0,
+            unchoke_slots: 2,
+            optimistic_slots: 1,
+            rechoke_interval: 3,
+            pex_interval: 2,
+            max_neighbors: MAX_NEIGHBORS,
+            run: 0,
+        };
+        let mut cores = [
+            PeerCore::publisher(PUBLISHER, 200.0, params, peer_stream(7, PUBLISHER as u64)),
+            PeerCore::leecher(2, 0, 50.0, 30.0, params, peer_stream(7, 2)),
+        ];
+        let mut out = Vec::new();
+        for core in &mut cores {
+            core.set_online(true);
+        }
+        for (tick, inbox) in ticks.iter().enumerate() {
+            for core in &mut cores {
+                out.clear();
+                // `step`'s debug assertions check neighbor order and
+                // table capacity after every tick.
+                core.step(tick as u64, inbox.iter().cloned(), &mut out);
+                prop_assert!(core.neighbor_count() <= MAX_NEIGHBORS);
+            }
+        }
     }
 }
 

@@ -68,8 +68,8 @@ pub use sink::{
 };
 pub use span::{current_job, job_scope, span, span_labeled, JobScope, Span};
 pub use timeseries::{
-    drain_series, merge_series, merge_series_owned, parse_timeseries, series_to_jsonl, take_series,
-    Recorder, Window,
+    drain_series, merge_series_owned, parse_timeseries, series_to_jsonl, take_series, Recorder,
+    Window,
 };
 
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};

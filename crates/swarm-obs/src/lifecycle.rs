@@ -21,8 +21,8 @@
 //!   and request→piece latency in ticks when attributable).
 //!
 //! All emission is gated on [`crate::enabled`] inside [`ConnEvent::emit`]
-//! & co.; `local`/`remote` are endpoint ids, `tick` is virtual (or wall
-//! ticks under the TCP host), `run` is the `net.run.start` ordinal.
+//! & co.; `local`/`remote` are endpoint ids, `tick` is the host's
+//! virtual tick, `run` is the `net.run.start` ordinal.
 
 use serde_json::Value;
 

@@ -41,7 +41,7 @@
 //!
 //! Producers that outlive a single struct (engine runs, shard flushes)
 //! merge their recorders into a named process-global series via
-//! [`merge_series`]; orchestrators collect everything at end of run
+//! [`merge_series_owned`]; orchestrators collect everything at end of run
 //! with [`drain_series`] (the `repro` CLI writes `timeseries.jsonl`
 //! from it) or pull one series with [`take_series`]. Merging is
 //! commutative and associative, so flush order cannot perturb the
@@ -456,23 +456,9 @@ fn registry() -> std::sync::MutexGuard<'static, BTreeMap<String, Recorder>> {
     SERIES.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Fold `rec` into the process-global series `name` (creating it on
-/// first merge). Commutative, so concurrent producers cannot perturb
-/// the drained result.
-pub fn merge_series(name: &str, rec: &Recorder) {
-    let mut reg = registry();
-    match reg.get_mut(name) {
-        Some(existing) => existing.merge(rec),
-        None => {
-            reg.insert(name.to_string(), rec.clone());
-        }
-    }
-}
-
-/// Like [`merge_series`], but takes the recorder by value: the first
-/// producer of a name moves its slots into the registry instead of
-/// cloning them. Engines that are done with their recorder use this on
-/// their finish path.
+/// Fold `rec` into the process-global series `name`; the first producer
+/// of a name moves its slots into the registry. Commutative, so
+/// concurrent producers cannot perturb the drained result.
 pub fn merge_series_owned(name: &str, rec: Recorder) {
     let mut reg = registry();
     match reg.get_mut(name) {
@@ -635,8 +621,8 @@ mod tests {
         a.add(0, "n", 1);
         let mut b = Recorder::new(8);
         b.add(8, "n", 2);
-        merge_series(name, &a);
-        merge_series(name, &b);
+        merge_series_owned(name, a.clone());
+        merge_series_owned(name, b.clone());
         let got = take_series(name).expect("series present");
         let mut want = a.clone();
         want.merge(&b);

@@ -53,8 +53,7 @@ any relative delta exceeds its threshold, 2 on usage or I/O errors.
   --timeseries       compare timeseries.jsonl windows instead of
                      metrics.json counters: exact window identity for
                      two runs, or geometry/totals/digest against a
-                     committed trend baseline. Wall-clock series
-                     (net.tcp) are excluded from the gate.
+                     committed trend baseline.
 ";
 
 const NET_REPORT_USAGE: &str = "\
@@ -64,7 +63,7 @@ Reconstruct per-connection message timelines from the live engine's
 lifecycle telemetry (`net.conn`/`net.req`/`net.xfer`, both endpoints
 merged), check the wire-level conservation invariants, and print a
 swarm health report: per-connection traffic and request->piece latency
-quantiles, TCP health snapshots and stall-watchdog firings.
+quantiles.
 
 Exits 0 when every invariant holds, 1 on any violation, 2 on usage or
 I/O errors or when the run carried no net telemetry at all.
@@ -321,11 +320,10 @@ pub fn net_report_main(args: &[String]) -> i32 {
 
 fn print_net_run(trace: &net::NetRunTrace) {
     println!(
-        "run {:>3}: {} connection(s), {} completion(s), {} stall(s), {} violation(s)",
+        "run {:>3}: {} connection(s), {} completion(s), {} violation(s)",
         trace.run,
         trace.conns.len(),
         trace.completions(),
-        trace.stalls.len(),
         trace.violations.len()
     );
     println!(
@@ -346,27 +344,6 @@ fn print_net_run(trace: &net::NetRunTrace) {
             conn.dones,
             q(0.5),
             q(0.9)
-        );
-    }
-    // Last health snapshot per peer — the swarm's closing state.
-    let mut last: BTreeMap<u64, &net::HealthSample> = BTreeMap::new();
-    for h in &trace.health {
-        last.insert(h.peer, h);
-    }
-    for (peer, h) in last {
-        println!(
-            "  health peer {peer}: {} piece(s), {:.0} kB, {} neighbor(s), {}{}",
-            h.pieces,
-            h.bytes_kb,
-            h.neighbors,
-            if h.online { "online" } else { "offline" },
-            if h.stalled { ", STALLED" } else { "" }
-        );
-    }
-    for s in &trace.stalls {
-        println!(
-            "  stall: peer {} at tick {} ({} tick(s) without progress)",
-            s.peer, s.tick, s.since
         );
     }
     for v in &trace.violations {
@@ -631,12 +608,9 @@ fn diff_timeseries(
             for p in &problems {
                 println!("TREND DIVERGENCE: {p}");
             }
-            let compared = sa
-                .keys()
-                .filter(|n| timeseries::is_deterministic_series(n))
-                .count();
             println!(
-                "{compared} series compared, {} divergence(s)",
+                "{} series compared, {} divergence(s)",
+                sa.len(),
                 problems.len()
             );
             i32::from(!problems.is_empty())

@@ -43,9 +43,9 @@ pub mod timeseries;
 
 pub use diff::{Baseline, DiffReport, Thresholds};
 pub use flame::collapse_spans;
-pub use net::{collect_net_runs, ConnRecord, HealthSample, NetRunTrace, StallSample};
+pub use net::{collect_net_runs, ConnRecord, NetRunTrace};
 pub use timeline::{collect_runs, BtRunTrace, ModelCheck};
 pub use timeseries::{
-    availability_crosscheck, diff_series, is_deterministic_series, load_timeseries, series_digest,
-    CrossCheck, Episode, SeriesAnalysis, TsBaseline, TsSeriesBaseline, DIP_THRESHOLD,
+    availability_crosscheck, diff_series, load_timeseries, series_digest, CrossCheck, Episode,
+    SeriesAnalysis, TsBaseline, TsSeriesBaseline, DIP_THRESHOLD,
 };

@@ -3,11 +3,9 @@
 //! The live engine (`swarm-net`) emits typed lifecycle events — see
 //! `swarm_obs::lifecycle` — from *both* endpoints of every connection:
 //! connection transitions (`net.conn`), request lifecycles (`net.req`)
-//! and transfer milestones (`net.xfer`), plus the TCP host's periodic
-//! `net.health` snapshots and `net.stall` watchdog firings.
-//! [`collect_net_runs`] groups a drained event stream by run ordinal
-//! and folds both endpoints' views of each peer pair into one
-//! [`ConnRecord`] timeline.
+//! and transfer milestones (`net.xfer`). [`collect_net_runs`] groups a
+//! drained event stream by run ordinal and folds both endpoints' views
+//! of each peer pair into one [`ConnRecord`] timeline.
 //!
 //! The analyzer then checks the wire-level **conservation invariants**
 //! every healthy run must satisfy:
@@ -26,33 +24,24 @@
 //!    frame can land after a choke cleared the request state.
 //! 3. *Piece conservation* — every completion (`xfer.done` at the
 //!    receiver) must match a service start (`xfer.serve`) at the
-//!    serving endpoint for the same piece. Existence only: under the
-//!    TCP host each thread runs its own wall ticker, so cross-endpoint
-//!    tick comparisons are deliberately avoided.
+//!    serving endpoint for the same piece and receiver, at a strictly
+//!    earlier tick. Every endpoint reads the host's one virtual clock,
+//!    and a piece frame is readable only in the round after it was
+//!    sent, so a done at or before its serve is out of order.
 //!
 //! Violations are strings naming the connection and piece — rendered
 //! by `repro net-report`, which exits non-zero when any exist.
 
 use std::collections::BTreeMap;
 
-use serde_json::Value;
 use swarm_obs::{ConnEvent, Event, ReqEvent, ReqPhase, XferEvent, XferPhase};
 
 use crate::flame::FlameLine;
 
-fn field<'a>(e: &'a Event, key: &str) -> Option<&'a Value> {
-    e.fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn u64_field(e: &Event, key: &str) -> Option<u64> {
-    field(e, key)?.as_u64()
-}
-
 /// One entry of a connection's merged two-endpoint timeline.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TimelineEntry {
-    /// Tick at the *observing* endpoint (virtual under loopback, that
-    /// endpoint's wall tick under TCP).
+    /// Virtual tick at which the observing endpoint recorded the entry.
     pub tick: u64,
     /// Endpoint that recorded the entry.
     pub local: u64,
@@ -106,27 +95,6 @@ impl ConnRecord {
     }
 }
 
-/// A `net.health` snapshot from one TCP peer thread.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HealthSample {
-    pub tick: u64,
-    pub peer: u64,
-    pub pieces: u64,
-    pub bytes_kb: f64,
-    pub neighbors: u64,
-    pub online: bool,
-    pub stalled: bool,
-}
-
-/// A `net.stall` watchdog firing.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StallSample {
-    pub tick: u64,
-    pub peer: u64,
-    /// Ticks without byte progress when the watchdog fired.
-    pub since: u64,
-}
-
 /// One live run's reconstructed wire-level view.
 #[derive(Debug, Clone, Default)]
 pub struct NetRunTrace {
@@ -134,10 +102,6 @@ pub struct NetRunTrace {
     pub run: u64,
     /// Connections keyed by unordered endpoint pair.
     pub conns: BTreeMap<(u64, u64), ConnRecord>,
-    /// Health snapshots in emission order (TCP host only).
-    pub health: Vec<HealthSample>,
-    /// Stall watchdog firings (TCP host only).
-    pub stalls: Vec<StallSample>,
     /// Conservation-invariant violations found while collecting.
     pub violations: Vec<String>,
 }
@@ -264,14 +228,15 @@ impl OpenRequests {
     }
 }
 
-/// Group lifecycle + health telemetry into per-run traces and check
-/// the conservation invariants. Runs come back ordered by ordinal.
+/// Group lifecycle telemetry into per-run traces and check the
+/// conservation invariants. Runs come back ordered by ordinal.
 pub fn collect_net_runs(events: &[Event]) -> Vec<NetRunTrace> {
     let mut runs: BTreeMap<u64, NetRunTrace> = BTreeMap::new();
     let mut open: BTreeMap<u64, OpenRequests> = BTreeMap::new();
-    // (run, server, receiver, piece) → serve seen / done count.
+    // (run, server, receiver, piece) → tick of the earliest serve.
     let mut serves: BTreeMap<(u64, u64, u64, u64), u64> = BTreeMap::new();
-    let mut dones: Vec<(u64, u64, u64, u64)> = Vec::new();
+    // (run, server, receiver, piece, tick) of every done.
+    let mut dones: Vec<(u64, u64, u64, u64, u64)> = Vec::new();
 
     for e in events {
         if let Some(c) = ConnEvent::from_event(e) {
@@ -345,13 +310,14 @@ pub fn collect_net_runs(events: &[Event]) -> Vec<NetRunTrace> {
             match x.phase {
                 XferPhase::Serve => {
                     // `local` is the server, `remote` the requester.
-                    *serves
+                    let first = serves
                         .entry((x.run, x.local, x.remote, x.piece))
-                        .or_insert(0) += 1;
+                        .or_insert(x.tick);
+                    *first = (*first).min(x.tick);
                 }
                 XferPhase::Done => {
                     // `local` is the receiver, `remote` the server.
-                    dones.push((x.run, x.remote, x.local, x.piece));
+                    dones.push((x.run, x.remote, x.local, x.piece, x.tick));
                     open.entry(x.run).or_default().close_all(x.local, x.piece);
                 }
             }
@@ -372,50 +338,6 @@ pub fn collect_net_runs(events: &[Event]) -> Vec<NetRunTrace> {
                 what: format!("xfer.{}", x.phase.as_str()),
                 piece: Some(x.piece),
             });
-        } else if e.kind == "net.health" {
-            let (Some(run), Some(tick), Some(peer)) = (
-                u64_field(e, "run"),
-                u64_field(e, "tick"),
-                u64_field(e, "peer"),
-            ) else {
-                continue;
-            };
-            runs.entry(run)
-                .or_insert_with(|| NetRunTrace {
-                    run,
-                    ..NetRunTrace::default()
-                })
-                .health
-                .push(HealthSample {
-                    tick,
-                    peer,
-                    pieces: u64_field(e, "pieces").unwrap_or(0),
-                    bytes_kb: field(e, "bytes_kb").and_then(Value::as_f64).unwrap_or(0.0),
-                    neighbors: u64_field(e, "neighbors").unwrap_or(0),
-                    online: field(e, "online").and_then(Value::as_bool).unwrap_or(false),
-                    stalled: field(e, "stalled")
-                        .and_then(Value::as_bool)
-                        .unwrap_or(false),
-                });
-        } else if e.kind == "net.stall" {
-            let (Some(run), Some(tick), Some(peer)) = (
-                u64_field(e, "run"),
-                u64_field(e, "tick"),
-                u64_field(e, "peer"),
-            ) else {
-                continue;
-            };
-            runs.entry(run)
-                .or_insert_with(|| NetRunTrace {
-                    run,
-                    ..NetRunTrace::default()
-                })
-                .stalls
-                .push(StallSample {
-                    tick,
-                    peer,
-                    since: u64_field(e, "since").unwrap_or(0),
-                });
         }
     }
 
@@ -430,20 +352,20 @@ pub fn collect_net_runs(events: &[Event]) -> Vec<NetRunTrace> {
             }
         }
     }
-    // Invariant 3: every completion matches a serve at the server.
-    for (run, server, receiver, piece) in dones {
-        if serves
-            .get(&(run, server, receiver, piece))
-            .copied()
-            .unwrap_or(0)
-            == 0
-        {
-            if let Some(trace) = runs.get_mut(&run) {
-                trace.violations.push(format!(
-                    "peer {receiver} completed piece {piece} from {server} \
-                     but {server} never recorded serving it"
-                ));
+    // Invariant 3: every completion follows a serve at the server.
+    for (run, server, receiver, piece, tick) in dones {
+        let problem = match serves.get(&(run, server, receiver, piece)) {
+            None => "never recorded serving it".to_string(),
+            Some(&served) if served >= tick => {
+                format!("first served it at tick {served}, not before")
             }
+            Some(_) => continue,
+        };
+        if let Some(trace) = runs.get_mut(&run) {
+            trace.violations.push(format!(
+                "peer {receiver} completed piece {piece} from {server} at tick {tick} \
+                 but {server} {problem}"
+            ));
         }
     }
     // Invariant 1: traffic implies a handshake at both endpoints.
@@ -470,6 +392,7 @@ pub fn collect_net_runs(events: &[Event]) -> Vec<NetRunTrace> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde_json::Value;
     use swarm_obs::{val, ConnPhase, Dir};
 
     fn ev(kind: &str, fields: &[(&str, Value)]) -> Event {
@@ -615,6 +538,26 @@ mod tests {
     }
 
     #[test]
+    fn done_at_or_before_its_only_serve_is_a_violation() {
+        for done_tick in [3, 4] {
+            let events = vec![
+                conn(0, 1, 1, 3, ConnPhase::Handshake),
+                conn(0, 2, 3, 1, ConnPhase::Handshake),
+                req(0, 3, 3, 1, 0, ReqPhase::Tx),
+                xfer(0, 4, 1, 3, 0, XferPhase::Serve, None),
+                xfer(0, done_tick, 3, 1, 0, XferPhase::Done, None),
+            ];
+            let runs = collect_net_runs(&events);
+            assert_eq!(runs[0].violations.len(), 1, "done at {done_tick}");
+            assert!(
+                runs[0].violations[0].contains("first served it at tick 4"),
+                "{:?}",
+                runs[0].violations
+            );
+        }
+    }
+
+    #[test]
     fn done_with_no_open_request_is_legal() {
         // A late piece frame after a choke cleared the request: the
         // receiver completes without an open request. Legal.
@@ -682,41 +625,6 @@ mod tests {
             .violations
             .iter()
             .any(|v| v.contains("never completed a handshake")));
-    }
-
-    #[test]
-    fn health_and_stall_events_are_collected() {
-        use serde_json::json;
-        let events = vec![
-            ev(
-                "net.health",
-                &[
-                    ("run", json!(0)),
-                    ("tick", json!(20)),
-                    ("peer", json!(3)),
-                    ("pieces", json!(5)),
-                    ("bytes_kb", json!(5000.0)),
-                    ("neighbors", json!(2)),
-                    ("online", json!(true)),
-                    ("stalled", json!(false)),
-                ],
-            ),
-            ev(
-                "net.stall",
-                &[
-                    ("run", json!(0)),
-                    ("tick", json!(60)),
-                    ("peer", json!(3)),
-                    ("since", json!(40)),
-                ],
-            ),
-        ];
-        let runs = collect_net_runs(&events);
-        assert_eq!(runs[0].health.len(), 1);
-        assert_eq!(runs[0].health[0].pieces, 5);
-        assert!(runs[0].health[0].online);
-        assert_eq!(runs[0].stalls.len(), 1);
-        assert_eq!(runs[0].stalls[0].since, 40);
     }
 
     #[test]

@@ -7,8 +7,7 @@
 //! * [`SeriesAnalysis`] — per-window rates, the windowed availability
 //!   curve, and episode detection: **dips** (windows whose availability
 //!   fraction drops below a threshold) and **stalls** (windows where
-//!   leechers were blocked but no bytes moved — the generalization of
-//!   the TCP host's byte-progress watchdog to any windowed series).
+//!   leechers were blocked but no bytes moved).
 //! * [`availability_crosscheck`] — the windowed availability curve must
 //!   integrate to the engine's own end-of-run availability figure
 //!   (from the event timeline), within one tick of rounding per run.
@@ -17,9 +16,9 @@
 //!   totals and an FNV-1a digest over the canonical serialization, so
 //!   CI catches a *reshaped* curve even when the totals still match.
 //!
-//! Only deterministic series enter the diff gate; series recorded off
-//! the wall clock (the TCP host's `net.tcp`) are analyzed and reported
-//! but never compared.
+//! Every series is recorded in virtual ticks, so every series is
+//! bit-identical across machines and shard counts for a fixed seed and
+//! enters the diff gate.
 
 use crate::timeline::BtRunTrace;
 use serde::{Deserialize, Serialize};
@@ -29,14 +28,6 @@ use swarm_obs::{Recorder, Window};
 
 /// Availability fraction below which a window counts as a dip.
 pub const DIP_THRESHOLD: f64 = 0.5;
-
-/// Is this series expected to be bit-identical across machines and
-/// shard counts for a fixed seed? Virtual-tick series are;
-/// anything recorded off the wall clock (the TCP smoke host's
-/// `net.tcp`) is not and must stay out of the diff gate.
-pub fn is_deterministic_series(name: &str) -> bool {
-    name != "net.tcp"
-}
 
 /// A maximal run of consecutive windows satisfying an episode
 /// predicate.
@@ -127,8 +118,7 @@ impl SeriesAnalysis {
 
     /// Maximal runs of consecutive windows where leechers sat blocked
     /// (`blocked_ticks > 0`) while nothing was transferred
-    /// (`bytes_moved == 0`) — the windowed generalization of the TCP
-    /// host's stall watchdog.
+    /// (`bytes_moved == 0`).
     pub fn stall_episodes(&self) -> Vec<Episode> {
         self.episodes(|w| {
             let blocked = w.counters.get("blocked_ticks").copied().unwrap_or(0);
@@ -305,7 +295,7 @@ pub struct TsBaseline {
 }
 
 impl TsBaseline {
-    /// Build a baseline from a run's deterministic series.
+    /// Build a baseline from a run's series.
     pub fn from_series(
         series: &BTreeMap<String, Recorder>,
         description: impl Into<String>,
@@ -314,7 +304,6 @@ impl TsBaseline {
             description: description.into(),
             series: series
                 .iter()
-                .filter(|(name, _)| is_deterministic_series(name))
                 .map(|(name, rec)| {
                     let analysis = SeriesAnalysis::from_recorder(name, rec);
                     (
@@ -391,16 +380,12 @@ impl TsBaseline {
     }
 }
 
-/// Exact two-run comparison of the deterministic series: bit-identical
+/// Exact two-run comparison of the series: bit-identical
 /// serialization or a problem line per divergence. Series present on
 /// only one side fail too.
 pub fn diff_series(a: &BTreeMap<String, Recorder>, b: &BTreeMap<String, Recorder>) -> Vec<String> {
     let mut problems = Vec::new();
-    let names: std::collections::BTreeSet<&String> = a
-        .keys()
-        .chain(b.keys())
-        .filter(|n| is_deterministic_series(n))
-        .collect();
+    let names: std::collections::BTreeSet<&String> = a.keys().chain(b.keys()).collect();
     for name in names {
         match (a.get(name), b.get(name)) {
             (Some(ra), Some(rb)) => {
@@ -502,10 +487,7 @@ mod tests {
     fn baseline_round_trip_and_injected_regression() {
         let mut series = BTreeMap::new();
         series.insert("bt".to_string(), bt_like());
-        // Wall-clock series must not enter the baseline.
-        series.insert("net.tcp".to_string(), bt_like());
         let baseline = TsBaseline::from_series(&series, "test");
-        assert!(!baseline.series.contains_key("net.tcp"));
         let parsed = TsBaseline::from_json(&baseline.to_json()).expect("round trips");
         assert_eq!(parsed, baseline);
         assert!(baseline.check(&series).is_empty(), "self-check passes");
@@ -535,11 +517,7 @@ mod tests {
         assert!(diff_series(&a, &b).is_empty());
         b.get_mut("bt").unwrap().add(30, "ticks", 1);
         assert!(!diff_series(&a, &b).is_empty());
-        // net.tcp differences are invisible to the gate.
-        let mut c = a.clone();
-        c.insert("net.tcp".to_string(), bt_like());
-        assert!(diff_series(&a, &c).is_empty());
-        // But a deterministic series on one side only is not.
+        // A series on one side only is a divergence.
         let mut d = a.clone();
         d.insert("catalog".to_string(), bt_like());
         assert_eq!(diff_series(&a, &d).len(), 1);
